@@ -20,13 +20,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .. import calculus
+from ..combination import Combination, add_into, put
 from ..errors import BoundsError, DomainError, ShapeError
 from ..linalg import GradedMap, GradedSpace
 
 DEFAULT_TRUNCATION_ARITY = 5
 
 
-class MultiOp:
+class MultiOp(Combination):
     """Sparse multilinear map  source^{tensor n} -> target  of fixed degree.
 
     Entries are keyed by ``(inputs, output)`` where ``inputs`` is a tuple of
@@ -36,6 +37,8 @@ class MultiOp:
     """
 
     __slots__ = ("source", "target", "arity", "degree", "entries")
+    _shape = ("source", "target", "arity", "degree")
+    _store = "entries"
 
     def __init__(self, source, target, arity, degree, entries=None):
         if arity < 1:
@@ -64,10 +67,7 @@ class MultiOp:
             raise ShapeError(
                 f"entry {ins} -> {out} violates the degree-{self.degree} rule"
             )
-        if coeff:
-            self.entries[ins, out] = coeff
-        else:
-            self.entries.pop((ins, out), None)
+        put(self.entries, (ins, out), coeff)
 
     @staticmethod
     def identity(space) -> "MultiOp":
@@ -82,54 +82,6 @@ class MultiOp:
         for (sdeg, sidx, tidx), coeff in gmap.entries.items():
             out.entries[((sdeg, sidx),), (sdeg + gmap.degree, tidx)] = coeff
         return out
-
-    def _check_same_shape(self, other):
-        if (
-            self.source != other.source
-            or self.target != other.target
-            or self.arity != other.arity
-            or self.degree != other.degree
-        ):
-            raise ShapeError("multilinear maps have different shapes")
-
-    def __add__(self, other):
-        self._check_same_shape(other)
-        out = MultiOp(self.source, self.target, self.arity, self.degree, dict(self.entries))
-        for key, coeff in other.entries.items():
-            val = out.entries.get(key, Fraction(0)) + coeff
-            if val:
-                out.entries[key] = val
-            else:
-                out.entries.pop(key, None)
-        return out
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        out = MultiOp(self.source, self.target, self.arity, self.degree)
-        if scalar:
-            out.entries.update({k: v * scalar for k, v in self.entries.items()})
-        return out
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiOp)
-            and self.source == other.source
-            and self.target == other.target
-            and self.arity == other.arity
-            and self.degree == other.degree
-            and self.entries == other.entries
-        )
 
     def __repr__(self):
         return (
@@ -167,12 +119,7 @@ def compose_at(f: MultiOp, g: MultiOp, j: int) -> MultiOp:
             continue
         sign = -1 if odd and sum(b[0] for b in fins[: j - 1]) % 2 else 1
         for gins, gc in matches:
-            key = (fins[: j - 1] + gins + fins[j:], fout)
-            val = out.entries.get(key, Fraction(0)) + sign * fc * gc
-            if val:
-                out.entries[key] = val
-            else:
-                out.entries.pop(key, None)
+            add_into(out.entries, (fins[: j - 1] + gins + fins[j:], fout), sign * fc * gc)
     return out
 
 
@@ -205,12 +152,7 @@ def _compose_tensor(f: MultiOp, factors) -> MultiOp:
 
     def expand(slot, ins_acc, coeff, parity):
         if slot == f.arity:
-            key = (ins_acc, current_out)
-            val = out.entries.get(key, Fraction(0)) + coeff
-            if val:
-                out.entries[key] = val
-            else:
-                out.entries.pop(key, None)
+            add_into(out.entries, (ins_acc, current_out), coeff)
             return
         for gins, gc in by_output[slot].get(current_ins[slot], ()):
             sign = -1 if (factors[slot].degree % 2) and parity % 2 else 1
@@ -228,7 +170,7 @@ def _compose_tensor(f: MultiOp, factors) -> MultiOp:
     return out
 
 
-class ConvElement:
+class ConvElement(Combination):
     """Series of multilinear operations, one per arity, of a common degree.
 
     ``kind`` is "structure" for degree -1 and "morphism" for degree 0; other
@@ -236,6 +178,8 @@ class ConvElement:
     """
 
     __slots__ = ("source", "target", "truncation", "degree", "components")
+    _shape = ("source", "target", "truncation", "degree")
+    _store = "components"
 
     def __init__(self, source, target, truncation, degree, components=None):
         if truncation < 1:
@@ -289,63 +233,8 @@ class ConvElement:
             out.components[n + 1] = self.components[n + 1]
         return out
 
-    def is_zero(self) -> bool:
-        return not self.components
-
     def star(self, other: "ConvElement") -> "ConvElement":
         return star(self, other)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check_compatible(self, other):
-        if not isinstance(other, ConvElement):
-            raise TypeError(f"expected ConvElement, got {type(other).__name__}")
-        if self.source != other.source or self.target != other.target:
-            raise ShapeError("elements live on different spaces")
-        if self.truncation != other.truncation:
-            raise ShapeError("elements have different truncation arities")
-        if self.degree != other.degree:
-            raise ShapeError(
-                f"cannot combine degree {self.degree} with degree {other.degree}"
-            )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = ConvElement(
-            self.source, self.target, self.truncation, self.degree, dict(self.components)
-        )
-        for arity, op in other.components.items():
-            total = out.component(arity) + op
-            if total.is_zero():
-                out.components.pop(arity, None)
-            else:
-                out.components[arity] = total
-        return out
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        out = self.zero_like()
-        if scalar:
-            out.components = {a: op * scalar for a, op in self.components.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConvElement)
-            and self.source == other.source
-            and self.target == other.target
-            and self.truncation == other.truncation
-            and self.degree == other.degree
-            and self.components == other.components
-        )
 
     def __repr__(self):
         return (
@@ -389,14 +278,7 @@ def star(f: ConvElement, g: ConvElement) -> ConvElement:
             if n > f.truncation:
                 continue
             for j in range(1, k + 1):
-                term = compose_at(fk, gl, j)
-                if term.is_zero():
-                    continue
-                total = out.component(n) + term
-                if total.is_zero():
-                    out.components.pop(n, None)
-                else:
-                    out.components[n] = total
+                add_into(out.components, n, compose_at(fk, gl, j))
     return out
 
 
@@ -424,12 +306,7 @@ def circle(f: ConvElement, g: ConvElement) -> ConvElement:
             if any(op is None for op in factors):
                 continue
             term = _compose_tensor(fk, factors)
-            n = term.arity
-            total = out.component(n) + term
-            if total.is_zero():
-                out.components.pop(n, None)
-            else:
-                out.components[n] = total
+            add_into(out.components, term.arity, term)
     return out
 
 

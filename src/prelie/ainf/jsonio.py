@@ -15,8 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import ValidationError
-from ..linalg import GradedMap, GradedSpace
-from ..multicomplex import space_from_dict, space_to_dict
+from ..linalg import GradedSpace
+from ..multicomplex import (
+    map_entries_from_list,
+    map_entries_to_list,
+    space_from_dict,
+    space_to_dict,
+)
 from .convolution import ConvElement, MultiOp
 from .transfer import Contraction
 
@@ -79,32 +84,14 @@ def element_from_dict(data: dict, source=None, target=None) -> ConvElement:
     return ConvElement(source, target, truncation, degree, components)
 
 
-def _gmap_to_list(gmap: GradedMap) -> list:
-    return [
-        [sdeg, sidx, tidx, str(coeff)]
-        for (sdeg, sidx, tidx), coeff in sorted(gmap.entries.items())
-    ]
-
-
-def _gmap_from_list(entries, source, target, degree) -> GradedMap:
-    gmap = GradedMap(source, target, degree)
-    try:
-        for sdeg, sidx, tidx, coeff in entries:
-            key = (int(sdeg), int(sidx), int(tidx))
-            gmap[key] = gmap.entries.get(key, 0) + Fraction(coeff)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad map entry: {exc}") from None
-    return gmap
-
-
 def contraction_to_dict(c: Contraction) -> dict:
     return {
         "big_space": space_to_dict(c.big),
         "small_space": space_to_dict(c.small),
-        "d": _gmap_to_list(c.d),
-        "i": _gmap_to_list(c.incl),
-        "p": _gmap_to_list(c.proj),
-        "h": _gmap_to_list(c.h),
+        "d": map_entries_to_list(c.d),
+        "i": map_entries_to_list(c.incl),
+        "p": map_entries_to_list(c.proj),
+        "h": map_entries_to_list(c.h),
     }
 
 
@@ -117,8 +104,8 @@ def contraction_from_dict(data: dict) -> Contraction:
     return Contraction(
         big,
         small,
-        _gmap_from_list(data.get("d", ()), big, big, -1),
-        _gmap_from_list(data.get("i", ()), small, big, 0),
-        _gmap_from_list(data.get("p", ()), big, small, 0),
-        _gmap_from_list(data.get("h", ()), big, big, 1),
+        map_entries_from_list(data.get("d", ()), big, big, -1),
+        map_entries_from_list(data.get("i", ()), small, big, 0),
+        map_entries_from_list(data.get("p", ()), big, small, 0),
+        map_entries_from_list(data.get("h", ()), big, big, 1),
     )

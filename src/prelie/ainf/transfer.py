@@ -29,8 +29,9 @@ from typing import Optional
 
 from .. import calculus
 from ..errors import BoundsError, DomainError, InternalCheckError, ShapeError, ValidationError
+from ..combination import Combination, add_into
 from ..linalg import GradedMap, GradedSpace, solve_sparse
-from ..trees import RootedTree, aut_order, enumerate_trees
+from ..trees import aut_order, enumerate_trees
 from .convolution import (
     ConvElement,
     MultiOp,
@@ -111,10 +112,12 @@ class Contraction:
         return self._hn_cache[n]
 
 
-class TensorOperator:
+class TensorOperator(Combination):
     """Sparse linear operator on a tensor power of a graded space."""
 
     __slots__ = ("space", "arity", "degree", "entries")
+    _shape = ("space", "arity", "degree")
+    _store = "entries"
 
     def __init__(self, space, arity, degree, entries=None):
         if arity < 1:
@@ -125,51 +128,7 @@ class TensorOperator:
         self.entries = dict(entries) if entries else {}
 
     def add_entry(self, ins, outs, coeff):
-        key = (tuple(ins), tuple(outs))
-        val = self.entries.get(key, Fraction(0)) + coeff
-        if val:
-            self.entries[key] = val
-        else:
-            self.entries.pop(key, None)
-
-    def _check_same_shape(self, other):
-        if (
-            self.space != other.space
-            or self.arity != other.arity
-            or self.degree != other.degree
-        ):
-            raise ShapeError("tensor operators have different shapes")
-
-    def __add__(self, other):
-        self._check_same_shape(other)
-        out = TensorOperator(self.space, self.arity, self.degree, self.entries)
-        for (ins, outs), coeff in other.entries.items():
-            out.add_entry(ins, outs, coeff)
-        return out
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        out = TensorOperator(self.space, self.arity, self.degree)
-        if scalar:
-            out.entries = {k: v * scalar for k, v in self.entries.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorOperator)
-            and self.space == other.space
-            and self.arity == other.arity
-            and self.degree == other.degree
-            and self.entries == other.entries
-        )
+        add_into(self.entries, (tuple(ins), tuple(outs)), coeff)
 
     def compose(self, other: "TensorOperator") -> "TensorOperator":
         """self after other (plain composition, no extra signs)."""
@@ -274,7 +233,7 @@ def sym_homotopy(c: Contraction, n: int) -> TensorOperator:
                 weight = Fraction(
                     math.factorial(n - 1 - r) * math.factorial(r), math.factorial(n)
                 )
-                out = out + tensor_from_factors(factors, weight)
+                out._iadd(tensor_from_factors(factors, weight))
     return out
 
 
@@ -296,12 +255,7 @@ def h_star(y: ConvElement, c: Contraction) -> ConvElement:
             by_mid.setdefault(outs, []).append((ins, coeff))
         for (mid, out_b), c2 in op.entries.items():
             for ins, c1 in by_mid.get(mid, ()):
-                key = (ins, out_b)
-                val = composed.entries.get(key, Fraction(0)) + sign * c1 * c2
-                if val:
-                    composed.entries[key] = val
-                else:
-                    composed.entries.pop(key, None)
+                add_into(composed.entries, (ins, out_b), sign * c1 * c2)
         if not composed.is_zero():
             out.components[n] = composed
     return out
@@ -353,14 +307,8 @@ def phi_kernel_by_trees(alpha: ConvElement, c: Contraction) -> ConvElement:
     phi = unit_element(alpha.source, alpha.truncation)
     for n in range(1, phi.max_weight + 1):
         for shape in enumerate_trees(n, max_vertices=phi.max_weight):
-            phi = phi + _tree_monomial(shape, habar) * Fraction(1, aut_order(shape))
+            phi = phi + calculus.tree_monomial(shape, habar) * Fraction(1, aut_order(shape))
     return phi
-
-
-def _tree_monomial(shape: RootedTree, value: ConvElement) -> ConvElement:
-    return calculus.symmetric_brace(
-        value, [_tree_monomial(child, value) for child in shape.children]
-    )
 
 
 def psi_kernel(alpha: ConvElement, c: Contraction) -> ConvElement:
@@ -612,5 +560,5 @@ def _stage_operator(fn: MultiOp, d_op: MultiOp) -> MultiOp:
     """sum_j fn o_j d  -  d o fn   (the linear map solved at each stage)."""
     acc = compose_at(d_op, fn, 1) * -1
     for j in range(1, fn.arity + 1):
-        acc = acc + compose_at(fn, d_op, j)
+        acc._iadd(compose_at(fn, d_op, j))
     return acc

@@ -11,8 +11,10 @@ The functions here work on any element type exposing
     .is_zero()
 
 Tree series, convolution elements, and operator towers all satisfy this
-protocol, so the exponential, the Magnus-style logarithm, symmetric braces,
-and circle-product inverses are implemented once.
+protocol, taking the arithmetic and ``is_zero`` from
+:class:`prelie.combination.Combination`, so the exponential, the
+Magnus-style logarithm, symmetric braces, tree monomials and circle-product
+inverses are implemented once.
 """
 
 from __future__ import annotations
@@ -97,6 +99,12 @@ def symmetric_brace(a, args):
         nested[i] = head[i].star(last)
         out = out - symmetric_brace(a, nested)
     return out
+
+
+def tree_monomial(shape, value):
+    """Image of an unlabeled rooted tree under the pre-Lie morphism sending
+    the generator to ``value``: the root evaluates to {value; children...}."""
+    return symmetric_brace(value, [tree_monomial(c, value) for c in shape.children])
 
 
 def circle_by_braces(a, g):

@@ -227,19 +227,33 @@ def _cmd_series_gauge(args) -> int:
 # -- multicomplex ----------------------------------------------------------------
 
 
-def _load_tower(data: dict, truncation):
+def _load_space(data, truncation):
+    """The graded space of a JSON record and its truncation; ``--truncation``
+    overrides the record's own."""
+    if not isinstance(data, dict) or "space" not in data:
+        raise ValidationError('expected a JSON object with a "space" record')
     space = multicomplex.space_from_dict(data["space"])
-    n = truncation if truncation is not None else int(data.get("truncation", 0))
+    if truncation is None:
+        truncation = data.get("truncation")
+    try:
+        n = int(truncation)
+    except (TypeError, ValueError):
+        n = 0
     if n < 1:
-        raise ValidationError("missing or invalid truncation weight")
+        raise ValidationError(f"truncation must be a positive integer, got {truncation!r}")
+    return space, n
+
+
+def _load_tower(data, truncation):
+    space, n = _load_space(data, truncation)
     return multicomplex.tower_from_dict(
         data, offset=multicomplex.STRUCTURE, space=space, truncation=n
-    ), space, n
+    )
 
 
 def _cmd_mc_check(args) -> int:
     data = _read_json(args.input)
-    alpha, _space, _n = _load_tower(data, args.truncation)
+    alpha = _load_tower(data, args.truncation)
     report = multicomplex.mc_check(alpha)
     payload = {"maurer_cartan": report.ok}
     lines = [f"maurer-cartan: {'PASS' if report.ok else 'FAIL'}"]
@@ -254,10 +268,7 @@ def _cmd_mc_check(args) -> int:
 
 def _cmd_mc_conjugate(args) -> int:
     data = _read_json(args.input)
-    space = multicomplex.space_from_dict(data["space"])
-    n = args.truncation if args.truncation is not None else int(data.get("truncation", 0))
-    if n < 1:
-        raise ValidationError("missing or invalid truncation weight")
+    space, n = _load_space(data, args.truncation)
     alpha = multicomplex.tower_from_dict(
         data.get("alpha", {}), offset=multicomplex.STRUCTURE, space=space, truncation=n
     )
@@ -275,7 +286,7 @@ def _cmd_mc_conjugate(args) -> int:
 
 def _cmd_mc_trivialize(args) -> int:
     data = _read_json(args.input)
-    alpha, _space, _n = _load_tower(data, args.truncation)
+    alpha = _load_tower(data, args.truncation)
     result = multicomplex.trivialize(alpha)
     if result.found:
         payload = {
@@ -326,10 +337,7 @@ def _cmd_ainf_mc_check(args) -> int:
 
 def _cmd_ainf_gauge(args) -> int:
     data = _read_json(args.input)
-    space = multicomplex.space_from_dict(data["space"])
-    n = args.truncation if args.truncation is not None else int(data.get("truncation", 0))
-    if n < 1:
-        raise ValidationError("missing or invalid truncation arity")
+    space, n = _load_space(data, args.truncation)
     alpha = ainf.element_from_dict(
         {"truncation": n, "degree": -1, **data.get("structure", {})}, source=space
     )

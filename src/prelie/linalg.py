@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .combination import Combination, add_into, put
 from .errors import ShapeError, ValidationError
 
 
@@ -61,7 +62,7 @@ class GradedSpace:
         return f"GradedSpace({self.dims})"
 
 
-class GradedMap:
+class GradedMap(Combination):
     """Sparse degree-homogeneous linear map between graded spaces.
 
     Entries are keyed by ``(source_degree, source_index, target_index)``;
@@ -69,6 +70,8 @@ class GradedMap:
     """
 
     __slots__ = ("source", "target", "degree", "entries")
+    _shape = ("source", "target", "degree")
+    _store = "entries"
 
     def __init__(self, source, target, degree, entries=None):
         self.source = source
@@ -88,10 +91,7 @@ class GradedMap:
             raise ShapeError(
                 f"no basis vector ({sdeg + self.degree}, {tidx}) in the target"
             )
-        if coeff:
-            self.entries[sdeg, sidx, tidx] = coeff
-        else:
-            self.entries.pop((sdeg, sidx, tidx), None)
+        put(self.entries, (sdeg, sidx, tidx), coeff)
 
     @staticmethod
     def zero(source, target, degree) -> "GradedMap":
@@ -123,59 +123,8 @@ class GradedMap:
             outer.setdefault((sdeg, sidx), []).append((tidx, coeff))
         for (sdeg, sidx, mid), c1 in other.entries.items():
             for tidx, c2 in outer.get((sdeg + other.degree, mid), ()):
-                key = (sdeg, sidx, tidx)
-                val = out.entries.get(key, Fraction(0)) + c1 * c2
-                if val:
-                    out.entries[key] = val
-                else:
-                    out.entries.pop(key, None)
+                add_into(out.entries, (sdeg, sidx, tidx), c1 * c2)
         return out
-
-    def _check_same_shape(self, other):
-        if (
-            self.source != other.source
-            or self.target != other.target
-            or self.degree != other.degree
-        ):
-            raise ShapeError("graded maps have different shapes")
-
-    def __add__(self, other):
-        self._check_same_shape(other)
-        out = GradedMap(self.source, self.target, self.degree, dict(self.entries))
-        for key, coeff in other.entries.items():
-            val = out.entries.get(key, Fraction(0)) + coeff
-            if val:
-                out.entries[key] = val
-            else:
-                out.entries.pop(key, None)
-        return out
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        out = GradedMap(self.source, self.target, self.degree)
-        if scalar:
-            out.entries.update({k: v * scalar for k, v in self.entries.items()})
-        return out
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.degree == other.degree
-            and self.entries == other.entries
-        )
 
     def __hash__(self):
         return hash(
@@ -220,12 +169,9 @@ def solve_sparse(rows, rhs, nvars):
             factor = other.get(var)
             if not factor:
                 continue
+            neg = -factor
             for k, c in row.items():
-                newc = other.get(k, Fraction(0)) - factor * c
-                if newc:
-                    other[k] = newc
-                else:
-                    other.pop(k, None)
+                add_into(other, k, neg * c)
             work[i] = (other, oval - factor * val)
     consistent = all(used[i] or not val for i, (_row, val) in enumerate(work))
     solution = [Fraction(0)] * nvars

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import calculus
+from .combination import Combination, add_into
 from .errors import DomainError, ShapeError, ValidationError
 from .linalg import GradedMap, GradedSpace, solve_sparse
 
@@ -27,7 +28,7 @@ STRUCTURE = -1  # per-weight degree 2n - 1
 GAUGE = 0  # per-weight degree 2n
 
 
-class OperatorTower:
+class OperatorTower(Combination):
     """Weight-indexed family of graded operators on one space.
 
     ``offset`` fixes the degree of the weight-n component to ``2n + offset``;
@@ -36,6 +37,8 @@ class OperatorTower:
     """
 
     __slots__ = ("space", "truncation", "offset", "components")
+    _shape = ("space", "truncation", "offset")
+    _store = "components"
 
     def __init__(self, space: GradedSpace, truncation: int, offset: int, components=None):
         if truncation < 1:
@@ -94,58 +97,8 @@ class OperatorTower:
             out.components[n] = self.components[n]
         return out
 
-    def is_zero(self) -> bool:
-        return not self.components
-
     def star(self, other: "OperatorTower") -> "OperatorTower":
         return star(self, other)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check_compatible(self, other):
-        if not isinstance(other, OperatorTower):
-            raise TypeError(f"expected OperatorTower, got {type(other).__name__}")
-        if self.space != other.space:
-            raise ShapeError("towers act on different spaces")
-        if self.truncation != other.truncation:
-            raise ShapeError("towers have different truncation weights")
-        if self.offset != other.offset:
-            raise ShapeError(f"cannot mix {self.kind} and {other.kind} towers")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = OperatorTower(self.space, self.truncation, self.offset, dict(self.components))
-        for w, gmap in other.components.items():
-            total = out.component(w) + gmap
-            if total.is_zero():
-                out.components.pop(w, None)
-            else:
-                out.components[w] = total
-        return out
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        out = OperatorTower(self.space, self.truncation, self.offset)
-        if scalar:
-            out.components = {w: g * scalar for w, g in self.components.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OperatorTower)
-            and self.space == other.space
-            and self.truncation == other.truncation
-            and self.offset == other.offset
-            and self.components == other.components
-        )
 
     def __repr__(self):
         return (
@@ -181,14 +134,7 @@ def star(f: OperatorTower, g: OperatorTower) -> OperatorTower:
             n = i + j
             if n > f.truncation:
                 continue
-            comp = fi.compose(gj)
-            if comp.is_zero():
-                continue
-            total = out.component(n) + comp
-            if total.is_zero():
-                out.components.pop(n, None)
-            else:
-                out.components[n] = total
+            add_into(out.components, n, fi.compose(gj))
     return out
 
 
@@ -341,14 +287,14 @@ def map_entries_to_list(gmap: GradedMap) -> list:
 
 def map_entries_from_list(entries, source, target, degree) -> GradedMap:
     out = GradedMap(source, target, degree)
-    for row in entries:
-        try:
+    row = entries  # named in the message when ``entries`` is not a list
+    try:
+        for row in entries:
             sdeg, sidx, tidx, coeff = row
-            out[int(sdeg), int(sidx), int(tidx)] = (
-                out.entries.get((int(sdeg), int(sidx), int(tidx)), 0) + Fraction(coeff)
-            )
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad operator entry {row!r}: {exc}") from None
+            key = (int(sdeg), int(sidx), int(tidx))
+            out[key] = out.entries.get(key, 0) + Fraction(coeff)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad operator entry {row!r}: {exc}") from None
     return out
 
 

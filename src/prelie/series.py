@@ -19,6 +19,8 @@ import math
 from fractions import Fraction
 
 from . import calculus
+from .calculus import tree_monomial
+from .combination import Combination, add_into
 from .errors import DomainError, InternalCheckError, ParseError, TruncationMismatch
 from .trees import RootedTree, aut_order, enumerate_trees
 
@@ -96,10 +98,13 @@ def aut_order_labeled(t: LabeledTree) -> int:
     return result
 
 
-class TreeSeries:
+class TreeSeries(Combination):
     """Finite rational combination of labeled trees, truncated in vertex count."""
 
     __slots__ = ("order", "unit", "terms")
+    _shape = ("order",)
+    _store = "terms"
+    _mismatch = TruncationMismatch
 
     def __init__(self, order: int, unit=0, terms=None):
         if order < 1:
@@ -158,46 +163,22 @@ class TreeSeries:
     def star(self, other: "TreeSeries") -> "TreeSeries":
         return graft(self, other)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check_compatible(self, other):
-        if not isinstance(other, TreeSeries):
-            raise TypeError(f"expected TreeSeries, got {type(other).__name__}")
-        if self.order != other.order:
-            raise TruncationMismatch(
-                f"truncation orders differ: {self.order} vs {other.order}"
-            )
+    # -- arithmetic: the unit part on top of the tree combination -----------
 
     def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            terms[t] = terms.get(t, Fraction(0)) + c
-        return TreeSeries(self.order, self.unit + other.unit, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self * -1
+        out = super().__add__(other)
+        out.unit = self.unit + other.unit
+        return out
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        return TreeSeries(
-            self.order,
-            self.unit * scalar,
-            {t: c * scalar for t, c in self.terms.items()},
-        )
+        out = super().__mul__(scalar)
+        out.unit = self.unit * Fraction(scalar)
+        return out
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TreeSeries)
-            and self.order == other.order
-            and self.unit == other.unit
-            and self.terms == other.terms
-        )
+        return super().__eq__(other) and self.unit == other.unit
 
     def __hash__(self):
         return hash((self.order, self.unit, frozenset(self.terms.items())))
@@ -233,18 +214,17 @@ def graft(s: TreeSeries, t: TreeSeries) -> TreeSeries:
     The unit grafts as a left unit only:  1 * x = x  while  sigma * 1 = 0
     for every tree sigma.
     """
-    s._check_compatible(t)
+    s._check(t)
     order = s.order
     result = t * s.unit  # 1 * x = x on the unit part of s
-    terms: dict = {}
     for sigma, cs in s.terms.items():
         for tau, ct in t.terms.items():
             if sigma.nvertices + tau.nvertices > order:
                 continue
             c = cs * ct
             for tree in _graft_trees(sigma, tau):
-                terms[tree] = terms.get(tree, Fraction(0)) + c
-    return result + TreeSeries(order, 0, terms)
+                add_into(result.terms, tree, c)
+    return result
 
 
 def bracket(x: TreeSeries, y: TreeSeries) -> TreeSeries:
@@ -274,7 +254,7 @@ def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
     shows the two formulas agree (the expansion itself is kept available as
     ``calculus.circle_by_braces`` and cross-checked in the tests).
     """
-    a._check_compatible(g)
+    a._check(g)
     _require_grouplike(g)
     order = a.order
     b_terms = sorted(((t, c) for t, c in g.terms.items()), key=lambda tc: tc[0].key)
@@ -328,17 +308,16 @@ def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
         return out
 
     result = g * a.unit  # left linearity: the unit part of a contributes a.unit * g
-    terms: dict = {}
     for sigma, cs in a.terms.items():
         for tree, coeff, _used in decorate(sigma, order - sigma.nvertices):
-            terms[tree] = terms.get(tree, Fraction(0)) + cs * coeff
-    return result + TreeSeries(order, 0, terms)
+            add_into(result.terms, tree, cs * coeff)
+    return result
 
 
 def circle_pointed(a: TreeSeries, g: TreeSeries, c: TreeSeries) -> TreeSeries:
     """One-argument-distinguished circle product sum_n {a; b,..,b, c} / n!."""
-    a._check_compatible(g)
-    a._check_compatible(c)
+    a._check(g)
+    a._check(c)
     _require_grouplike(g)
     b = g - g.unit_like()
     out = a.zero_like()
@@ -363,14 +342,6 @@ def exp(lam: TreeSeries) -> TreeSeries:
 def magnus(a: TreeSeries) -> TreeSeries:
     """Pre-Lie Magnus expansion: the unique lam with exp(lam) = 1 + a."""
     return calculus.magnus_series(a)
-
-
-def tree_monomial(shape: RootedTree, value: TreeSeries) -> TreeSeries:
-    """Image of an unlabeled tree under the pre-Lie morphism sending the
-    generator to ``value``: the root evaluates to {value; children...}."""
-    return calculus.symmetric_brace(
-        value, [tree_monomial(c, value) for c in shape.children]
-    )
 
 
 def grouplike_inverse(g: TreeSeries) -> TreeSeries:
@@ -492,7 +463,7 @@ def parse_series(text: str, order: int) -> TreeSeries:
                     f"tree has {tree.nvertices} vertices, above truncation {order}",
                     f"line {lineno}",
                 )
-            terms[tree] = terms.get(tree, Fraction(0)) + coeff
+            add_into(terms, tree, coeff)
     return TreeSeries(order, unit, terms)
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from prelie.cli import main
 from prelie.ainf import contraction_to_dict, element_to_dict
 from helpers import acyclic_tower, massey_dga, obstructed_tower
@@ -83,6 +85,39 @@ def test_multicomplex_mc_check_verdicts(tmp_path, capsys):
     bad_file.write_text(json.dumps(bad))
     code, out, _ = run(capsys, "multicomplex", "mc-check", str(bad_file))
     assert code == 1 and "FAIL" in out
+
+
+def test_multicomplex_entries_not_a_list_exit_2(tmp_path, capsys):
+    data = mcx.tower_to_dict(acyclic_tower())
+    data["operators"] = [{"weight": 1, "entries": 5}]
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "multicomplex", "mc-check", str(bad_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad operator entry 5")
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ("multicomplex", "mc-check"),
+        ("multicomplex", "conjugate"),
+        ("multicomplex", "trivialize"),
+        ("ainf", "gauge-act"),
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize(
+    "record",
+    [{}, [1], {"space": {"dims": {"0": 1}}, "truncation": "x"}],
+    ids=["empty", "list", "truncation-x"],
+)
+def test_bad_space_or_truncation_exit_2(tmp_path, capsys, verb, record):
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(record))
+    code, out, err = run(capsys, *verb, str(bad_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_multicomplex_trivialize(tmp_path, capsys):
