@@ -17,6 +17,8 @@ from fractions import Fraction
 from ..errors import ValidationError
 from ..linalg import GradedSpace
 from ..multicomplex import (
+    json_list,
+    json_object,
     map_entries_from_list,
     map_entries_to_list,
     space_from_dict,
@@ -59,6 +61,7 @@ def element_to_dict(elt: ConvElement) -> dict:
 
 
 def element_from_dict(data: dict, source=None, target=None) -> ConvElement:
+    json_object(data, "the structure")
     try:
         if source is None:
             source = space_from_dict(data["space"])
@@ -71,7 +74,7 @@ def element_from_dict(data: dict, source=None, target=None) -> ConvElement:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad element record: {exc}") from None
     components = {}
-    for op_data in data.get("operations", ()):
+    for op_data in json_list(data.get("operations", ()), '"operations"'):
         op = multiop_from_dict(op_data, source, target)
         if op.degree != degree:
             raise ValidationError(
@@ -96,6 +99,7 @@ def contraction_to_dict(c: Contraction) -> dict:
 
 
 def contraction_from_dict(data: dict) -> Contraction:
+    json_object(data, "the contraction")
     try:
         big = space_from_dict(data["big_space"])
         small = space_from_dict(data["small_space"])

@@ -30,14 +30,13 @@ from typing import Optional
 from .. import calculus
 from ..errors import BoundsError, DomainError, InternalCheckError, ShapeError, ValidationError
 from ..combination import Combination, add_into
-from ..linalg import GradedMap, GradedSpace, solve_sparse
+from ..linalg import GradedMap, GradedSpace, solve_stage
 from ..trees import aut_order, enumerate_trees
 from .convolution import (
     ConvElement,
     MultiOp,
     circle,
     circle_inverse,
-    compose_at,
     element_from_map,
     inf_morphism_check,
     mc_check,
@@ -511,54 +510,77 @@ class TrivializerResult:
 def find_trivializer(alpha: ConvElement) -> TrivializerResult:
     """Stage-wise solve of  f * delta = alpha (o) f  for f = 1 + f_(1) + ...
 
-    Success returns f and its Magnus logarithm, so that the gauge action of
-    the logarithm takes the bare differential to alpha.  Failure reports the
-    first unsolvable arity and the unmatched residual.  A failure is not a
-    proof of non-triviality (earlier stage choices are greedy);
+    Stage n is the exact linear system  sum_j f_n o_j d - d o f_n =
+    RHS(f_(<n))  in the arity-n component.  Its matrix is read off the
+    entries of d (:func:`_stage_rows`) and :func:`linalg.solve_stage`
+    solves it by deterministic Gaussian elimination.  Success returns f and
+    its Magnus logarithm, so that the gauge action of the logarithm takes
+    the bare differential to alpha; f is checked against the
+    infinity-morphism equation, and a failure of that check is a library
+    bug and raises ``InternalCheckError``.  Failure reports the first
+    unsolvable arity and the unmatched residual.  A failure is not a proof
+    of non-triviality (earlier stage choices are greedy);
     ``is_gauge_trivial`` is the decision procedure.
     """
     _require_mc(alpha)
     space = alpha.source
     A = alpha.truncation
-    delta = ConvElement(space, space, A, -1, {1: alpha.component(1)})
     d_op = alpha.component(1)
+    delta = ConvElement(space, space, A, -1, {1: d_op})
     f = unit_element(space, A)
-    basis = space.basis()
     for n in range(2, A + 1):
         rhs_op = (circle(alpha, f) - star(f, delta)).component(n)
-        variables = []
-        var_index = {}
-        for ins in itertools.product(basis, repeat=n):
-            total = sum(b[0] for b in ins)
-            for out_b in basis:
-                if out_b[0] == total:
-                    var_index[ins, out_b] = len(variables)
-                    variables.append((ins, out_b))
-        rows_by_target: dict = {}
-        for key in variables:
-            unit_op = MultiOp(space, space, n, 0, {key: Fraction(1)})
-            for tkey, coeff in _stage_operator(unit_op, d_op).entries.items():
-                rows_by_target.setdefault(tkey, {})[var_index[key]] = coeff
-        targets = sorted(set(rows_by_target) | set(rhs_op.entries))
-        rows = [rows_by_target.get(t, {}) for t in targets]
-        rhs = [rhs_op.entries.get(t, Fraction(0)) for t in targets]
-        ok, solution = solve_sparse(rows, rhs, len(variables))
-        fn = MultiOp(space, space, n, 0)
-        for key, var in var_index.items():
-            if solution[var]:
-                fn.entries[key] = solution[var]
+        unknowns, rows = _stage_rows(space, n, d_op)
+        ok, entries, residual = solve_stage(unknowns, rows, rhs_op.entries)
         if not ok:
-            residual = rhs_op - _stage_operator(fn, d_op)
-            return TrivializerResult(False, stage=n, residual=residual)
-        if not fn.is_zero():
+            return TrivializerResult(False, stage=n, residual=rhs_op._like(residual))
+        if entries:
+            fn = MultiOp(space, space, n, 0)
+            fn.entries = entries
             f = f + ConvElement(space, space, A, 0, {n: fn})
-    assert inf_morphism_check(f, delta, alpha)
+    if not inf_morphism_check(f, delta, alpha):
+        raise InternalCheckError("find_trivializer: the isotopy found is no infinity-morphism")
     return TrivializerResult(True, f=f, log=calculus.magnus_series(f - f.unit_like()))
 
 
-def _stage_operator(fn: MultiOp, d_op: MultiOp) -> MultiOp:
-    """sum_j fn o_j d  -  d o fn   (the linear map solved at each stage)."""
-    acc = compose_at(d_op, fn, 1) * -1
-    for j in range(1, fn.arity + 1):
-        acc._iadd(compose_at(fn, d_op, j))
-    return acc
+def _stage_rows(space: GradedSpace, n: int, d_op: MultiOp):
+    """Unknowns and matrix rows of  fn -> sum_j fn o_j d - d o_1 fn  on
+    arity-n, degree-0 operations.
+
+    The unknowns are the entry keys ``(inputs, output)`` in deterministic
+    order; row ``t`` maps an unknown's index to the coefficient of target
+    entry ``t`` in the image of that unit operation.  There is one row entry
+    per (unknown, slot, matching entry of d), with the Koszul sign of
+    :func:`compose_at`, read off preimage and image tables of d built once
+    per call.
+    """
+    odd = d_op.degree % 2
+    preimage = {}  # basis vector -> [(a, c)] for the entries d(a) = c b + ...
+    image = {}  # basis vector -> [(b, c)] for the same entries, keyed by a
+    for ((a,), b), c in d_op.entries.items():
+        preimage.setdefault(b, []).append((a, c))
+        image.setdefault(a, []).append((b, c))
+    basis = space.basis()
+    by_degree = {}
+    for b in basis:
+        by_degree.setdefault(b[0], []).append(b)
+    unknowns = []
+    rows: dict = {}
+    for ins in itertools.product(basis, repeat=n):
+        outs = by_degree.get(sum(b[0] for b in ins))
+        if not outs:
+            continue
+        slot_terms = []  # (inputs of the target, coeff) of  sum_j e o_j d
+        parity = 0
+        for j, b in enumerate(ins):
+            for a, c in preimage.get(b, ()):
+                slot_terms.append((ins[:j] + (a,) + ins[j + 1:], -c if odd and parity else c))
+            parity ^= b[0] & 1
+        for out in outs:
+            var = len(unknowns)
+            unknowns.append((ins, out))
+            for tins, c in slot_terms:
+                add_into(rows.setdefault((tins, out), {}), var, c)
+            for b, c in image.get(out, ()):
+                add_into(rows.setdefault((ins, b), {}), var, -c)
+    return unknowns, rows

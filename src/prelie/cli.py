@@ -270,10 +270,12 @@ def _cmd_mc_conjugate(args) -> int:
     data = _read_json(args.input)
     space, n = _load_space(data, args.truncation)
     alpha = multicomplex.tower_from_dict(
-        data.get("alpha", {}), offset=multicomplex.STRUCTURE, space=space, truncation=n
+        multicomplex.json_object(data.get("alpha", {}), '"alpha"'),
+        offset=multicomplex.STRUCTURE, space=space, truncation=n,
     )
     lam = multicomplex.tower_from_dict(
-        data.get("gauge", {}), offset=multicomplex.GAUGE, space=space, truncation=n
+        multicomplex.json_object(data.get("gauge", {}), '"gauge"'),
+        offset=multicomplex.GAUGE, space=space, truncation=n,
     )
     result = multicomplex.conjugate(lam, alpha)
     payload = multicomplex.tower_to_dict(result)
@@ -314,7 +316,8 @@ def _cmd_mc_trivialize(args) -> int:
 # -- ainf ------------------------------------------------------------------------
 
 
-def _load_element(data: dict, truncation):
+def _load_element(data, truncation):
+    multicomplex.json_object(data, "the structure")
     if truncation is not None:
         data = dict(data)
         data["truncation"] = truncation
@@ -338,12 +341,10 @@ def _cmd_ainf_mc_check(args) -> int:
 def _cmd_ainf_gauge(args) -> int:
     data = _read_json(args.input)
     space, n = _load_space(data, args.truncation)
-    alpha = ainf.element_from_dict(
-        {"truncation": n, "degree": -1, **data.get("structure", {})}, source=space
-    )
-    lam = ainf.element_from_dict(
-        {"truncation": n, "degree": 0, **data.get("gauge", {})}, source=space
-    )
+    structure = multicomplex.json_object(data.get("structure", {}), '"structure"')
+    gauge = multicomplex.json_object(data.get("gauge", {}), '"gauge"')
+    alpha = ainf.element_from_dict({"truncation": n, "degree": -1, **structure}, source=space)
+    lam = ainf.element_from_dict({"truncation": n, "degree": 0, **gauge}, source=space)
     result = ainf.gauge_act(lam, alpha)
     payload = ainf.element_to_dict(result)
     payload["maurer_cartan_preserved"] = ainf.mc_check(result).ok

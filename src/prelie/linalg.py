@@ -141,39 +141,65 @@ class GradedMap(Combination):
 def solve_sparse(rows, rhs, nvars):
     """Solve a sparse rational linear system by deterministic elimination.
 
-    ``rows[i]`` is a dict ``var -> coeff`` and ``rhs[i]`` the right-hand
-    side.  Returns ``(True, solution)`` with free variables set to 0, or
-    ``(False, partial)`` where ``partial`` solves the consistent subsystem
-    (pivot order: increasing variable index, first usable row).
+    ``rows[i]`` is a dict ``var -> coeff`` (``Fraction`` or ``int``
+    coefficients; an explicit zero counts as absent) and ``rhs[i]`` the
+    right-hand side.  Returns ``(True, solution)`` with free variables set
+    to 0, or ``(False, partial)`` where ``partial`` solves the consistent
+    subsystem.
+
+    Pivot rule: variables in increasing index order, each pivoting on the
+    first (lowest-index) unused row with a non-zero coefficient in it.  A
+    column index ``var -> unused rows holding var`` finds that row as the
+    index's minimum and confines each elimination to the rows that hold the
+    pivot variable, so a stage costs time in proportion to the entries it
+    touches (input non-zeros plus fill-in), not rows x unknowns; the index
+    holds one set entry per stored non-zero.
     """
-    work = [(dict(r), Fraction(v)) for r, v in zip(rows, rhs)]
-    pivots = []  # (var, row_dict, rhs)
+    work = []
+    vals = [Fraction(v) for v in rhs]
+    holders = {}  # var -> indices of unused rows with a non-zero in var
+    for i, r in enumerate(rows):
+        row = {k: c for k, c in r.items() if c}
+        work.append(row)
+        for k in row:
+            holders.setdefault(k, set()).add(i)
+    pivots = []  # (var, normalized row, rhs)
     used = [False] * len(work)
     for var in range(nvars):
-        pick = None
-        for i, (row, _val) in enumerate(work):
-            if not used[i] and row.get(var):
-                pick = i
-                break
-        if pick is None:
+        column = holders.pop(var, None)
+        if not column:
             continue
+        pick = min(column)
+        column.discard(pick)
         used[pick] = True
-        row, val = work[pick]
-        inv = 1 / row[var]
+        row = work[pick]
+        for k in row:
+            if k != var:
+                holders[k].discard(pick)
+        inv = Fraction(1) / row[var]  # a Fraction even for int coefficients
         row = {k: c * inv for k, c in row.items()}
-        val = val * inv
+        val = vals[pick] * inv
         pivots.append((var, row, val))
-        for i, (other, oval) in enumerate(work):
-            if used[i]:
-                continue
-            factor = other.get(var)
-            if not factor:
-                continue
+        for i in column:
+            other = work[i]
+            factor = other.pop(var)
             neg = -factor
             for k, c in row.items():
-                add_into(other, k, neg * c)
-            work[i] = (other, oval - factor * val)
-    consistent = all(used[i] or not val for i, (_row, val) in enumerate(work))
+                if k == var:
+                    continue
+                old = other.get(k)
+                if old is None:
+                    other[k] = neg * c
+                    holders.setdefault(k, set()).add(i)
+                else:
+                    new = old + neg * c
+                    if new:
+                        other[k] = new
+                    else:
+                        del other[k]
+                        holders[k].discard(i)
+            vals[i] = vals[i] - factor * val
+    consistent = all(used[i] or not val for i, val in enumerate(vals))
     solution = [Fraction(0)] * nvars
     for var, row, val in reversed(pivots):
         acc = val
@@ -182,3 +208,26 @@ def solve_sparse(rows, rhs, nvars):
                 acc -= c * solution[k]
         solution[var] = acc
     return consistent, solution
+
+
+def solve_stage(unknowns, rows_by_target, rhs_entries):
+    """Solve one stage  L(x) = rhs  of a stage-wise trivializer search.
+
+    ``unknowns`` lists the entry keys of the unknown map, ``rows_by_target``
+    maps each target key to its row ``{unknown index: coeff}`` of the matrix
+    of L, and ``rhs_entries`` is the right-hand side by target key.  Rows
+    are ordered by target key and solved by :func:`solve_sparse`.  Returns
+    ``(ok, entries, residual)``: the solution as a dict ``unknown key ->
+    non-zero value`` and, when the system is inconsistent, the non-zero part
+    of ``rhs - L(x)`` by target key, computed from the same rows.
+    """
+    targets = sorted(set(rows_by_target) | set(rhs_entries))
+    rows = [rows_by_target.get(t, {}) for t in targets]
+    rhs = [rhs_entries.get(t, Fraction(0)) for t in targets]
+    ok, solution = solve_sparse(rows, rhs, len(unknowns))
+    entries = {key: x for key, x in zip(unknowns, solution) if x}
+    residual = {}
+    if not ok:
+        for t, row, b in zip(targets, rows, rhs):
+            put(residual, t, b - sum(c * solution[var] for var, c in row.items()))
+    return ok, entries, residual

@@ -21,8 +21,8 @@ from typing import Optional
 
 from . import calculus
 from .combination import Combination, add_into
-from .errors import DomainError, ShapeError, ValidationError
-from .linalg import GradedMap, GradedSpace, solve_sparse
+from .errors import DomainError, InternalCheckError, ShapeError, ValidationError
+from .linalg import GradedMap, GradedSpace, solve_stage
 
 STRUCTURE = -1  # per-weight degree 2n - 1
 GAUGE = 0  # per-weight degree 2n
@@ -210,13 +210,47 @@ def _delta_only(alpha: OperatorTower) -> OperatorTower:
     )
 
 
+def _stage_rows(space: GradedSpace, degree: int, d: GradedMap):
+    """Unknowns and matrix rows of  fn -> fn d - d fn  on maps of ``degree``.
+
+    The unknowns are the entry keys of a degree-``degree`` map in
+    deterministic order; row ``t`` maps an unknown's index to the
+    coefficient of target entry ``t`` in the commutator of that unit map.
+    Every row entry is read off one entry of d through its preimage and
+    image tables, built once per call.
+    """
+    preimage = {}  # basis vector -> [(sdeg, sidx, c)] for the entries of d landing on it
+    image = {}  # basis vector -> [(tidx, c)] for the entries of d leaving it
+    for (sdeg, sidx, tidx), c in d.entries.items():
+        preimage.setdefault((sdeg + d.degree, tidx), []).append((sdeg, sidx, c))
+        image.setdefault((sdeg, sidx), []).append((tidx, c))
+    unknowns = []
+    rows: dict = {}
+    for sdeg, sdim in space.dims.items():
+        tdeg = sdeg + degree
+        tdim = space.dim(tdeg)
+        for sidx in range(sdim):
+            for tidx in range(tdim):
+                var = len(unknowns)
+                unknowns.append((sdeg, sidx, tidx))
+                for adeg, aidx, c in preimage.get((sdeg, sidx), ()):
+                    add_into(rows.setdefault((adeg, aidx, tidx), {}), var, c)
+                for bidx, c in image.get((tdeg, tidx), ()):
+                    add_into(rows.setdefault((sdeg, sidx, bidx), {}), var, -c)
+    return unknowns, rows
+
+
 def trivialize(alpha: OperatorTower) -> TrivializeResult:
     """Solve  f * delta = alpha * f  for an isotopy f = 1 + f_(1) + ...
 
-    Each stage is the exact linear system  f_(n) d - d f_(n) = RHS(f_(<n))
-    solved by deterministic Gaussian elimination; any particular solution is
-    accepted.  On an unsolvable stage the result carries the stage weight and
-    the unmatched residual.
+    Each stage is the exact linear system  f_(n) d - d f_(n) = RHS(f_(<n)).
+    Its matrix is read off the entries of d (:func:`_stage_rows`) and
+    :func:`linalg.solve_stage` solves it by deterministic Gaussian
+    elimination; any particular solution is accepted.  On an unsolvable
+    stage the result carries the stage weight and the unmatched residual.
+    A found isotopy is checked against ``f * delta == alpha * f``; a
+    failure of that check is a library bug and raises
+    ``InternalCheckError``.
     """
     report = mc_check(alpha)
     if not report.ok:
@@ -229,41 +263,33 @@ def trivialize(alpha: OperatorTower) -> TrivializeResult:
         rhs_map = (star(alpha, f) - star(f, delta)).component(n)
         if rhs_map.is_zero():
             continue
-        unknown_deg = 2 * n
-        variables = []
-        var_index = {}
-        for sdeg, sdim in space.dims.items():
-            tdim = space.dim(sdeg + unknown_deg)
-            for sidx in range(sdim):
-                for tidx in range(tdim):
-                    var_index[sdeg, sidx, tidx] = len(variables)
-                    variables.append((sdeg, sidx, tidx))
-
-        def commutator(entry_key):
-            fn = GradedMap(space, space, unknown_deg, {entry_key: Fraction(1)})
-            return fn.compose(d) - d.compose(fn)
-
-        rows_by_target: dict = {}
-        for key in variables:
-            for tkey, coeff in commutator(key).entries.items():
-                rows_by_target.setdefault(tkey, {})[var_index[key]] = coeff
-        targets = sorted(set(rows_by_target) | set(rhs_map.entries))
-        rows = [rows_by_target.get(t, {}) for t in targets]
-        rhs = [rhs_map.entries.get(t, Fraction(0)) for t in targets]
-        ok, solution = solve_sparse(rows, rhs, len(variables))
-        fn = GradedMap(space, space, unknown_deg)
-        for key, var in var_index.items():
-            if solution[var]:
-                fn.entries[key] = solution[var]
+        unknowns, rows = _stage_rows(space, 2 * n, d)
+        ok, entries, residual = solve_stage(unknowns, rows, rhs_map.entries)
         if not ok:
-            residual = rhs_map - (fn.compose(d) - d.compose(fn))
-            return TrivializeResult(False, stage=n, residual=residual)
+            return TrivializeResult(False, stage=n, residual=rhs_map._like(residual))
+        fn = GradedMap(space, space, 2 * n)
+        fn.entries = entries
         f = f + OperatorTower(space, alpha.truncation, GAUGE, {n: fn})
-    assert isotopy_check(f, delta, alpha)
+    if not isotopy_check(f, delta, alpha):
+        raise InternalCheckError("trivialize: the isotopy found fails f * delta == alpha * f")
     return TrivializeResult(True, f=f, log=log_assoc(f))
 
 
 # -- JSON interchange ----------------------------------------------------------
+
+
+def json_object(value, where: str) -> dict:
+    """``value`` itself if it is a JSON object; else a ValidationError naming ``where``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def json_list(value, where: str):
+    """``value`` itself if it is a list; else a ValidationError naming ``where``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where} must be a list, got {type(value).__name__}")
+    return value
 
 
 def space_to_dict(space: GradedSpace) -> dict:
@@ -273,7 +299,7 @@ def space_to_dict(space: GradedSpace) -> dict:
 def space_from_dict(data: dict) -> GradedSpace:
     try:
         dims = {int(deg): int(dim) for deg, dim in data["dims"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad space description: {exc}") from None
     return GradedSpace(dims)
 
@@ -311,12 +337,13 @@ def tower_to_dict(tower: OperatorTower) -> dict:
 
 
 def tower_from_dict(data: dict, offset: int = STRUCTURE, space=None, truncation=None) -> OperatorTower:
+    json_object(data, "the tower")
     if space is None:
         space = space_from_dict(data["space"])
     if truncation is None:
         truncation = int(data.get("truncation", 0))
     components = {}
-    for op in data.get("operators", ()):
+    for op in json_list(data.get("operators", ()), '"operators"'):
         try:
             weight = int(op["weight"])
         except (KeyError, TypeError, ValueError) as exc:

@@ -474,3 +474,58 @@ def dynkin_bch(x: TreeSeries, y: TreeSeries, max_weight: int) -> TreeSeries:
 
     rec([], 0)
     return total
+
+
+def solve_sparse_by_scan(rows, rhs, nvars):
+    """Gaussian elimination that scans every unused row for each pivot:
+    the same pivot rule as ``linalg.solve_sparse`` (increasing variable,
+    first usable row), without its column index."""
+    work = [(dict(r), Fraction(v)) for r, v in zip(rows, rhs)]
+    pivots = []
+    used = [False] * len(work)
+    for var in range(nvars):
+        pick = None
+        for i, (row, _val) in enumerate(work):
+            if not used[i] and row.get(var):
+                pick = i
+                break
+        if pick is None:
+            continue
+        used[pick] = True
+        row, val = work[pick]
+        inv = 1 / row[var]
+        row = {k: c * inv for k, c in row.items()}
+        val = val * inv
+        pivots.append((var, row, val))
+        for i, (other, oval) in enumerate(work):
+            if used[i] or not other.get(var):
+                continue
+            factor = other[var]
+            for k, c in row.items():
+                new = other.get(k, 0) - factor * c
+                if new:
+                    other[k] = new
+                else:
+                    other.pop(k, None)
+            work[i] = (other, oval - factor * val)
+    consistent = all(used[i] or not val for i, (_row, val) in enumerate(work))
+    solution = [Fraction(0)] * nvars
+    for var, row, val in reversed(pivots):
+        solution[var] = val - sum(c * solution[k] for k, c in row.items() if k != var)
+    return consistent, solution
+
+
+def stage_operator(fn, d_op):
+    """sum_j fn o_j d  -  d o fn: the map each ``find_trivializer`` stage
+    solves, applied to one operation by partial compositions."""
+    from prelie.ainf import compose_at
+
+    acc = compose_at(d_op, fn, 1) * -1
+    for j in range(1, fn.arity + 1):
+        acc = acc + compose_at(fn, d_op, j)
+    return acc
+
+
+def commutator(fn, d):
+    """fn d - d fn: the map each multicomplex ``trivialize`` stage solves."""
+    return fn.compose(d) - d.compose(fn)

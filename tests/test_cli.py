@@ -120,6 +120,53 @@ def test_bad_space_or_truncation_exit_2(tmp_path, capsys, verb, record):
     assert err.startswith("error: ")
 
 
+def _nested_bad_inputs():
+    """(argv, files, message): one malformed nested record per case."""
+    tower = mcx.tower_to_dict(acyclic_tower())
+    alpha, contraction = massey_dga()
+    structure = element_to_dict(alpha)
+    conj = {"space": tower["space"], "truncation": 4, "alpha": [1], "gauge": {}}
+    gauge = {"space": structure["space"], "truncation": 4, "structure": [1], "gauge": {}}
+    good = json.dumps(structure)
+    return {
+        "operators-5": (["multicomplex", "mc-check", "in.json"],
+                        {"in.json": json.dumps({**tower, "operators": 5})},
+                        '"operators" must be a list, got int'),
+        "alpha-list": (["multicomplex", "conjugate", "in.json"],
+                       {"in.json": json.dumps(conj)},
+                       '"alpha" must be a JSON object, got list'),
+        "dims-5": (["multicomplex", "trivialize", "in.json"],
+                   {"in.json": json.dumps({**tower, "space": {"dims": 5}})},
+                   "bad space description"),
+        "operations-5": (["ainf", "mc-check", "in.json"],
+                         {"in.json": json.dumps({**structure, "operations": 5})},
+                         '"operations" must be a list, got int'),
+        "structure-list": (["ainf", "gauge-act", "in.json"],
+                           {"in.json": json.dumps(gauge)},
+                           '"structure" must be a JSON object, got list'),
+        "mc-check-list": (["ainf", "mc-check", "in.json", "--truncation", "3"],
+                          {"in.json": "[1]"},
+                          "the structure must be a JSON object, got list"),
+        "trivialize-list": (["ainf", "trivialize", "in.json", "--truncation", "3"],
+                            {"in.json": "[1]"},
+                            "the structure must be a JSON object, got list"),
+        "contraction-list": (["ainf", "transfer", "s.json", "c.json"],
+                             {"s.json": good, "c.json": "[1]"},
+                             "the contraction must be a JSON object, got list"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_nested_bad_inputs()))
+def test_malformed_nested_record_exit_2(tmp_path, capsys, case):
+    argv, files, message = _nested_bad_inputs()[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_multicomplex_trivialize(tmp_path, capsys):
     good_file = tmp_path / "good.json"
     good_file.write_text(json.dumps(mcx.tower_to_dict(acyclic_tower())))

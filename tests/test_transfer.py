@@ -334,6 +334,18 @@ def test_find_trivializer_of_bare_differential_is_unit():
     assert result.log.is_zero()
 
 
+def test_find_trivializer_truncation_six():
+    """Regression guard for the stage cost: the last stage of this gauge-trivial
+    structure has 40,960 unknowns, so a solver or a matrix build that grows
+    with rows x unknowns shows in the suite time."""
+    alpha, c = massey_dga(truncation=6)
+    delta = element_from_map(c.d, 6)
+    gauged = gauge_act(random_gauge_element(alpha.source, 6, random.Random(6)), delta)
+    result = find_trivializer(gauged)
+    assert result.found
+    assert inf_morphism_check(result.f, delta, gauged)
+
+
 def test_find_trivializer_massey_obstruction():
     alpha, _ = massey_dga()
     result = find_trivializer(alpha)
