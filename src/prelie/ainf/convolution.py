@@ -15,9 +15,7 @@ equation, and the gauge action are built from the two products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .. import calculus
 from ..combination import Combination, add_into, put
@@ -326,30 +324,16 @@ def circle_inverse(g: ConvElement) -> ConvElement:
     return calculus.circle_inverse(g, circle)
 
 
-@dataclass
-class MCReport:
-    """Outcome of a Maurer-Cartan check: flat square, or first bad arity."""
-
-    ok: bool
-    arity: Optional[int] = None
-    residual: Optional[MultiOp] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def mc_check(alpha: ConvElement) -> MCReport:
-    """True iff  alpha * alpha = 0  up to the truncation arity.
+def mc_check(alpha: ConvElement) -> calculus.MCReport:
+    """True iff  alpha * alpha = 0  up to the truncation arity; otherwise
+    ``stage`` is the first bad arity.
 
     For the desuspended structure of a differential graded algebra this is
     exactly d^2 = 0, the Leibniz rule, and associativity.
     """
     if alpha.degree != -1:
         raise DomainError("mc_check expects a structure-kind element (degree -1)")
-    square = star(alpha, alpha)
-    for n in sorted(square.components):
-        return MCReport(False, n, square.components[n])
-    return MCReport(True)
+    return calculus.mc_report(alpha)
 
 
 def inf_morphism_check(f: ConvElement, alpha: ConvElement, beta: ConvElement) -> bool:
@@ -375,5 +359,5 @@ def gauge_act(lam: ConvElement, alpha: ConvElement) -> ConvElement:
         raise DomainError("gauge parameter must vanish in arity 1")
     report = mc_check(alpha)
     if not report.ok:
-        raise DomainError(f"gauge_act needs a Maurer-Cartan element; fails at arity {report.arity}")
+        raise DomainError(f"gauge_act needs a Maurer-Cartan element; fails at arity {report.stage}")
     return circle(star(calculus.exp_series(lam), alpha), calculus.exp_series(-lam))

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .. import calculus
 from ..errors import BoundsError, DomainError, InternalCheckError, ShapeError, ValidationError
@@ -260,8 +259,18 @@ def h_star(y: ConvElement, c: Contraction) -> ConvElement:
     return out
 
 
+def _require_mc(alpha: ConvElement) -> None:
+    report = mc_check(alpha)
+    if not report.ok:
+        raise DomainError(
+            f"expected a Maurer-Cartan element; square is nonzero at arity {report.stage}"
+        )
+
+
 def _abar(alpha: ConvElement, c: Contraction) -> ConvElement:
-    """Split off the differential; insists it agrees with the contraction's d."""
+    """Split off the differential of a Maurer-Cartan structure; insists the
+    structure is Maurer-Cartan and that its differential is the contraction's d."""
+    _require_mc(alpha)
     if alpha.component(1) != MultiOp.from_graded_map(c.d):
         raise ValidationError(
             "the arity-1 part of the structure differs from the contraction's d"
@@ -271,27 +280,41 @@ def _abar(alpha: ConvElement, c: Contraction) -> ConvElement:
     return out
 
 
-def _require_mc(alpha: ConvElement) -> None:
-    report = mc_check(alpha)
-    if not report.ok:
-        raise DomainError(
-            f"expected a Maurer-Cartan element; square is nonzero at arity {report.arity}"
-        )
-
-
 def h_push(abar: ConvElement, c: Contraction) -> ConvElement:
     """Postcompose every component with h (insertion by the arity-1 element h)."""
     return star(element_from_map(c.h, abar.truncation), abar)
 
 
-def phi_kernel(alpha: ConvElement, c: Contraction) -> ConvElement:
-    """The output-restricting kernel: fixed point of Phi = 1 + (h abar) (o) Phi."""
-    _require_mc(alpha)
-    habar = h_push(_abar(alpha, c), c)
-    phi = unit_element(alpha.source, alpha.truncation)
+def _phi(abar: ConvElement, c: Contraction) -> ConvElement:
+    habar = h_push(abar, c)
+    phi = unit_element(abar.source, abar.truncation)
     for n in range(1, phi.max_weight + 1):
         phi = phi + circle(habar, phi).weight_component(n)
     return phi
+
+
+def _psi(abar: ConvElement, c: Contraction) -> ConvElement:
+    psi = unit_element(abar.source, abar.truncation)
+    term = psi
+    for _ in range(psi.max_weight):
+        term = _r_operator(term, abar, c)
+        if term.is_zero():
+            break
+        psi = psi + term
+    return psi
+
+
+def _hat(alpha: ConvElement, phi: ConvElement) -> ConvElement:
+    return circle(star(circle_inverse(phi), alpha), phi)
+
+
+def _check(alpha: ConvElement, psi: ConvElement) -> ConvElement:
+    return circle(star(psi, alpha), circle_inverse(psi))
+
+
+def phi_kernel(alpha: ConvElement, c: Contraction) -> ConvElement:
+    """The output-restricting kernel: fixed point of Phi = 1 + (h abar) (o) Phi."""
+    return _phi(_abar(alpha, c), c)
 
 
 def phi_kernel_by_inverse(alpha: ConvElement, c: Contraction) -> ConvElement:
@@ -316,16 +339,7 @@ def psi_kernel(alpha: ConvElement, c: Contraction) -> ConvElement:
     with  R(x) = -h^*(x * abar);  each application raises the weight, so the
     sum is finite per arity.
     """
-    _require_mc(alpha)
-    abar = _abar(alpha, c)
-    psi = unit_element(alpha.source, alpha.truncation)
-    term = psi
-    for _ in range(psi.max_weight):
-        term = _r_operator(term, abar, c)
-        if term.is_zero():
-            break
-        psi = psi + term
-    return psi
+    return _psi(_abar(alpha, c), c)
 
 
 def _r_operator(x: ConvElement, abar: ConvElement, c: Contraction) -> ConvElement:
@@ -334,14 +348,12 @@ def _r_operator(x: ConvElement, abar: ConvElement, c: Contraction) -> ConvElemen
 
 def alpha_hat(alpha: ConvElement, c: Contraction) -> ConvElement:
     """Gauge twist  (Phi^{-1} * alpha) (o) Phi ; outputs land in i(H)."""
-    phi = phi_kernel(alpha, c)
-    return circle(star(circle_inverse(phi), alpha), phi)
+    return _hat(alpha, phi_kernel(alpha, c))
 
 
 def alpha_check(alpha: ConvElement, c: Contraction) -> ConvElement:
     """Gauge twist  (Psi * alpha) (o) Psi^{-1} ; inputs factor through i(H)."""
-    psi = psi_kernel(alpha, c)
-    return circle(star(psi, alpha), circle_inverse(psi))
+    return _check(alpha, psi_kernel(alpha, c))
 
 
 def tech_r_check(alpha: ConvElement, c: Contraction, xs=None) -> bool:
@@ -350,10 +362,9 @@ def tech_r_check(alpha: ConvElement, c: Contraction, xs=None) -> bool:
     (1)  (Psi * abar) (o) pi  ==  (abar (o) Phi) (o) pi
     (2)  sum_k R^k(x (o) pi)  ==  x (o) pi (o) Psi   for morphism-kind x.
     """
-    _require_mc(alpha)
     abar = _abar(alpha, c)
-    phi = phi_kernel(alpha, c)
-    psi = psi_kernel(alpha, c)
+    phi = _phi(abar, c)
+    psi = _psi(abar, c)
     pi_elt = element_from_map(c.pi, alpha.truncation)
     lhs = circle(star(psi, abar), pi_elt)
     rhs = circle(circle(abar, phi), pi_elt)
@@ -425,26 +436,25 @@ class TransferResult:
     beta: ConvElement
     i_inf: ConvElement
     p_inf: ConvElement
-    checks: list = field(default_factory=list)
+    checks: list
 
     def all_green(self) -> bool:
         return all(ok for _name, ok in self.checks)
 
 
-def transfer(alpha: ConvElement, c: Contraction, verify: bool = True) -> TransferResult:
+def transfer(alpha: ConvElement, c: Contraction) -> TransferResult:
     """Transfer a Maurer-Cartan structure across the contraction.
 
     Returns beta on the small space together with the extended inclusion
     ``i_inf = Phi (o) i`` and extended projection ``p_inf = p (o) Psi``.
-    With ``verify=True`` (the default) the defining identities are checked
-    exactly and a failure raises InternalCheckError; the named outcomes are
-    kept on the result for reporting either way.
+    The defining identities are checked exactly and kept on the result by
+    name; a failure raises InternalCheckError.  Phi and Psi are built once
+    and serve both the transferred structure and the checks.
     """
-    _require_mc(alpha)
     abar = _abar(alpha, c)
     A = alpha.truncation
-    phi = phi_kernel(alpha, c)
-    psi = psi_kernel(alpha, c)
+    phi = _phi(abar, c)
+    psi = _psi(abar, c)
     i_elt = element_from_map(c.incl, A)
     p_elt = element_from_map(c.proj, A)
     pi_elt = element_from_map(c.pi, A)
@@ -455,28 +465,27 @@ def transfer(alpha: ConvElement, c: Contraction, verify: bool = True) -> Transfe
     i_inf = circle(phi, i_elt)
     p_inf = circle(p_elt, psi)
 
-    result = TransferResult(beta, i_inf, p_inf)
-    if verify:
-        hat = alpha_hat(alpha, c)
-        check = alpha_check(alpha, c)
-        delta_big = element_from_map(c.d, A)
-        result.checks = [
-            ("maurer_cartan_beta", mc_check(beta).ok),
-            ("hat_formula", hat == delta_big + circle(pi_elt, mid)),
-            ("check_formula", check == delta_big + circle(mid, pi_elt)),
-            (
-                "hat_check_same_transfer",
-                circle(p_elt, circle((hat - delta_big), i_elt))
-                == circle(p_elt, circle((check - delta_big), i_elt)),
-            ),
-            ("psi_phi_sum", circle(psi, phi) == psi + phi - alpha.unit_like()),
-            ("p_inf_circle_i_inf", circle(p_inf, i_inf) == unit_element(c.small, A)),
-            ("i_inf_morphism", inf_morphism_check(i_inf, beta, alpha)),
-            ("p_inf_morphism", star(p_inf, alpha) == circle(beta, p_inf)),
-        ]
-        if not result.all_green():
-            bad = [name for name, ok in result.checks if not ok]
-            raise InternalCheckError(f"transfer identities failed: {', '.join(bad)}")
+    hat = _hat(alpha, phi)
+    check = _check(alpha, psi)
+    delta_big = element_from_map(c.d, A)
+    checks = [
+        ("maurer_cartan_beta", mc_check(beta).ok),
+        ("hat_formula", hat == delta_big + circle(pi_elt, mid)),
+        ("check_formula", check == delta_big + circle(mid, pi_elt)),
+        (
+            "hat_check_same_transfer",
+            circle(p_elt, circle((hat - delta_big), i_elt))
+            == circle(p_elt, circle((check - delta_big), i_elt)),
+        ),
+        ("psi_phi_sum", circle(psi, phi) == psi + phi - alpha.unit_like()),
+        ("p_inf_circle_i_inf", circle(p_inf, i_inf) == unit_element(c.small, A)),
+        ("i_inf_morphism", inf_morphism_check(i_inf, beta, alpha)),
+        ("p_inf_morphism", star(p_inf, alpha) == circle(beta, p_inf)),
+    ]
+    result = TransferResult(beta, i_inf, p_inf, checks)
+    if not result.all_green():
+        bad = [name for name, ok in checks if not ok]
+        raise InternalCheckError(f"transfer identities failed: {', '.join(bad)}")
     return result
 
 
@@ -493,21 +502,7 @@ def is_gauge_trivial(alpha: ConvElement, c: Contraction) -> bool:
     return all(arity == 1 for arity in beta.components)
 
 
-@dataclass
-class TrivializerResult:
-    """Either an isotopy trivializing the structure, or the failing stage."""
-
-    found: bool
-    f: Optional[ConvElement] = None
-    log: Optional[ConvElement] = None
-    stage: Optional[int] = None
-    residual: Optional[MultiOp] = None
-
-    def __bool__(self):
-        return self.found
-
-
-def find_trivializer(alpha: ConvElement) -> TrivializerResult:
+def find_trivializer(alpha: ConvElement) -> calculus.Trivialization:
     """Stage-wise solve of  f * delta = alpha (o) f  for f = 1 + f_(1) + ...
 
     Stage n is the exact linear system  sum_j f_n o_j d - d o f_n =
@@ -533,14 +528,14 @@ def find_trivializer(alpha: ConvElement) -> TrivializerResult:
         unknowns, rows = _stage_rows(space, n, d_op)
         ok, entries, residual = solve_stage(unknowns, rows, rhs_op.entries)
         if not ok:
-            return TrivializerResult(False, stage=n, residual=rhs_op._like(residual))
+            return calculus.Trivialization(False, stage=n, residual=rhs_op._like(residual))
         if entries:
             fn = MultiOp(space, space, n, 0)
             fn.entries = entries
             f = f + ConvElement(space, space, A, 0, {n: fn})
     if not inf_morphism_check(f, delta, alpha):
         raise InternalCheckError("find_trivializer: the isotopy found is no infinity-morphism")
-    return TrivializerResult(True, f=f, log=calculus.magnus_series(f - f.unit_like()))
+    return calculus.Trivialization(True, f=f, log=calculus.magnus_series(f - f.unit_like()))
 
 
 def _stage_rows(space: GradedSpace, n: int, d_op: MultiOp):

@@ -15,14 +15,62 @@ protocol, taking the arithmetic and ``is_zero`` from
 :class:`prelie.combination.Combination`, so the exponential, the
 Magnus-style logarithm, symmetric braces, tree monomials and circle-product
 inverses are implemented once.
+
+The deformation vocabulary shared by operator towers and convolution
+elements lives here too: the Maurer-Cartan report and the trivializer
+result.  Both name the failing component by its ``stage``, the key of that
+component: a weight for towers, an arity for convolution elements.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Optional
 
 from .errors import DomainError
+
+
+@dataclass
+class MCReport:
+    """Outcome of a Maurer-Cartan check: flat square, or the first bad stage
+    with the square's component there."""
+
+    ok: bool
+    stage: Optional[int] = None
+    residual: Any = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def mc_report(alpha) -> MCReport:
+    """Check  alpha.star(alpha) == 0  component by component.
+
+    ``alpha`` keeps its non-zero components in ``.components``, keyed by
+    stage; the report names the lowest stage where the square is non-zero.
+    """
+    square = alpha.star(alpha)
+    if not square.components:
+        return MCReport(True)
+    n = min(square.components)
+    return MCReport(False, n, square.components[n])
+
+
+@dataclass
+class Trivialization:
+    """Either an isotopy f trivializing a structure, with its logarithm, or
+    the first stage whose linear system has no solution and its residual."""
+
+    found: bool
+    f: Any = None
+    log: Any = None
+    stage: Optional[int] = None
+    residual: Any = None
+
+    def __bool__(self):
+        return self.found
 
 
 def exp_series(x):

@@ -15,9 +15,7 @@ obtained by passing a different ``offset`` to :class:`OperatorTower`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import calculus
 from .combination import Combination, add_into
@@ -138,26 +136,12 @@ def star(f: OperatorTower, g: OperatorTower) -> OperatorTower:
     return out
 
 
-@dataclass
-class MCReport:
-    """Outcome of a Maurer-Cartan check: flat square, or first bad weight."""
-
-    ok: bool
-    weight: Optional[int] = None
-    residual: Optional[GradedMap] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def mc_check(alpha: OperatorTower) -> MCReport:
-    """True iff  (alpha * alpha)_(n) = 0  for all weights up to truncation."""
+def mc_check(alpha: OperatorTower) -> calculus.MCReport:
+    """True iff  (alpha * alpha)_(n) = 0  for all weights up to truncation;
+    otherwise ``stage`` is the first bad weight."""
     if alpha.offset != STRUCTURE:
         raise DomainError("mc_check expects a structure tower")
-    square = star(alpha, alpha)
-    for n in sorted(square.components):
-        return MCReport(False, n, square.components[n])
-    return MCReport(True)
+    return calculus.mc_report(alpha)
 
 
 def exp_assoc(lam: OperatorTower) -> OperatorTower:
@@ -188,20 +172,6 @@ def isotopy_check(f: OperatorTower, alpha: OperatorTower, beta: OperatorTower) -
     if f.component(0) != GradedMap.identity(f.space):
         raise DomainError("an isotopy must have the identity in weight 0")
     return star(f, alpha) == star(beta, f)
-
-
-@dataclass
-class TrivializeResult:
-    """Either a trivializing isotopy (with its logarithm) or the obstruction."""
-
-    found: bool
-    f: Optional[OperatorTower] = None
-    log: Optional[OperatorTower] = None
-    stage: Optional[int] = None
-    residual: Optional[GradedMap] = None
-
-    def __bool__(self):
-        return self.found
 
 
 def _delta_only(alpha: OperatorTower) -> OperatorTower:
@@ -240,7 +210,7 @@ def _stage_rows(space: GradedSpace, degree: int, d: GradedMap):
     return unknowns, rows
 
 
-def trivialize(alpha: OperatorTower) -> TrivializeResult:
+def trivialize(alpha: OperatorTower) -> calculus.Trivialization:
     """Solve  f * delta = alpha * f  for an isotopy f = 1 + f_(1) + ...
 
     Each stage is the exact linear system  f_(n) d - d f_(n) = RHS(f_(<n)).
@@ -254,7 +224,7 @@ def trivialize(alpha: OperatorTower) -> TrivializeResult:
     """
     report = mc_check(alpha)
     if not report.ok:
-        raise DomainError(f"trivialize needs a Maurer-Cartan tower; fails at weight {report.weight}")
+        raise DomainError(f"trivialize needs a Maurer-Cartan tower; fails at weight {report.stage}")
     space = alpha.space
     d = alpha.component(0)
     delta = _delta_only(alpha)
@@ -266,13 +236,13 @@ def trivialize(alpha: OperatorTower) -> TrivializeResult:
         unknowns, rows = _stage_rows(space, 2 * n, d)
         ok, entries, residual = solve_stage(unknowns, rows, rhs_map.entries)
         if not ok:
-            return TrivializeResult(False, stage=n, residual=rhs_map._like(residual))
+            return calculus.Trivialization(False, stage=n, residual=rhs_map._like(residual))
         fn = GradedMap(space, space, 2 * n)
         fn.entries = entries
         f = f + OperatorTower(space, alpha.truncation, GAUGE, {n: fn})
     if not isotopy_check(f, delta, alpha):
         raise InternalCheckError("trivialize: the isotopy found fails f * delta == alpha * f")
-    return TrivializeResult(True, f=f, log=log_assoc(f))
+    return calculus.Trivialization(True, f=f, log=log_assoc(f))
 
 
 # -- JSON interchange ----------------------------------------------------------
@@ -336,12 +306,31 @@ def tower_to_dict(tower: OperatorTower) -> dict:
     }
 
 
-def tower_from_dict(data: dict, offset: int = STRUCTURE, space=None, truncation=None) -> OperatorTower:
-    json_object(data, "the tower")
-    if space is None:
-        space = space_from_dict(data["space"])
+def space_and_truncation(data, truncation=None):
+    """The graded space of a JSON record and its truncation; ``truncation``
+    overrides the record's own."""
+    if not isinstance(data, dict) or "space" not in data:
+        raise ValidationError('expected a JSON object with a "space" record')
+    space = space_from_dict(data["space"])
     if truncation is None:
-        truncation = int(data.get("truncation", 0))
+        truncation = data.get("truncation")
+    try:
+        n = int(truncation)
+    except (TypeError, ValueError):
+        n = 0
+    if n < 1:
+        raise ValidationError(f"truncation must be a positive integer, got {truncation!r}")
+    return space, n
+
+
+def tower_from_dict(data: dict, offset: int = STRUCTURE, space=None, truncation=None) -> OperatorTower:
+    """The tower of a JSON record; ``space`` and ``truncation``, when not
+    given, are read from the record by :func:`space_and_truncation`."""
+    if space is None or truncation is None:
+        record_space, truncation = space_and_truncation(data, truncation)
+        if space is None:
+            space = record_space
+    json_object(data, "the tower")
     components = {}
     for op in json_list(data.get("operators", ()), '"operators"'):
         try:

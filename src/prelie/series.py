@@ -22,7 +22,7 @@ from . import calculus
 from .calculus import tree_monomial
 from .combination import Combination, add_into
 from .errors import DomainError, InternalCheckError, ParseError, TruncationMismatch
-from .trees import RootedTree, aut_order, enumerate_trees
+from .trees import RootedTree, _aut_of_children, aut_order, enumerate_trees
 
 
 class LabeledTree:
@@ -85,17 +85,12 @@ def labeled_from_shape(shape: RootedTree, label: str) -> LabeledTree:
 
 def aut_order_labeled(t: LabeledTree) -> int:
     """Order of the label-preserving automorphism group."""
-    kids = t.children
-    result = 1
-    i = 0
-    while i < len(kids):
-        j = i
-        while j < len(kids) and kids[j] == kids[i]:
-            j += 1
-        mult = j - i
-        result *= math.factorial(mult) * aut_order_labeled(kids[i]) ** mult
-        i = j
-    return result
+    return _aut_of_children(t.children)
+
+
+def _require_order(order: int) -> None:
+    if order < 1:
+        raise DomainError(f"truncation order must be >= 1, got {order}")
 
 
 class TreeSeries(Combination):
@@ -107,8 +102,7 @@ class TreeSeries(Combination):
     _mismatch = TruncationMismatch
 
     def __init__(self, order: int, unit=0, terms=None):
-        if order < 1:
-            raise DomainError(f"truncation order must be >= 1, got {order}")
+        _require_order(order)
         self.order = order
         self.unit = Fraction(unit)
         clean = {}
@@ -374,20 +368,18 @@ def gauge_act(lam: TreeSeries, alpha: TreeSeries) -> TreeSeries:
     return circle(graft(exp(lam), alpha), exp(-lam))
 
 
-def eval_tree(tree: LabeledTree, values, brace_fn=None):
+def eval_tree(tree: LabeledTree, values):
     """Evaluate a labeled tree monomial in any pre-Lie target.
 
     ``values`` maps generator symbols to target elements; a root r with child
-    subtrees s_1..s_k evaluates to {values[r]; eval(s_1), .., eval(s_k)}.
-    The default brace implementation is the generic recursion over ``.star``.
+    subtrees s_1..s_k evaluates to {values[r]; eval(s_1), .., eval(s_k)},
+    the symmetric brace built from ``.star``.
     """
-    if brace_fn is None:
-        brace_fn = calculus.symmetric_brace
     try:
         root = values[tree.label]
     except KeyError:
         raise KeyError(f"generator {tree.label!r} is not bound in the context") from None
-    return brace_fn(root, [eval_tree(c, values, brace_fn) for c in tree.children])
+    return calculus.symmetric_brace(root, [eval_tree(c, values) for c in tree.children])
 
 
 # -- text format --------------------------------------------------------------
@@ -434,6 +426,7 @@ def parse_series(text: str, order: int) -> TreeSeries:
     The unit term is written ``1 ()``.  Children may appear in any order;
     trees are canonicalized.  Blank lines and ``#`` comments are skipped.
     """
+    _require_order(order)
     unit = Fraction(0)
     terms: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -116,7 +116,7 @@ def test_mc_check_flags_non_associative_product():
     b2[((1, 0), (1, 1)), (1, 0)] = 1
     report = mc_check(ConvElement(space, space, A, -1, {2: b2}))
     assert not report.ok
-    assert report.arity == 3
+    assert report.stage == 3
 
 
 def test_mc_check_requires_structure_kind():

@@ -1,12 +1,29 @@
 """Command-line front end: formats, verdicts, exit codes."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from prelie import linalg
 from prelie.cli import main
-from prelie.ainf import contraction_to_dict, element_to_dict
-from helpers import acyclic_tower, massey_dga, obstructed_tower
+from prelie.ainf import (
+    ConvElement,
+    MultiOp,
+    contraction_to_dict,
+    element_from_map,
+    element_to_dict,
+    gauge_act,
+)
+from prelie.linalg import GradedSpace
+from helpers import (
+    acyclic_dga,
+    acyclic_tower,
+    massey_dga,
+    obstructed_tower,
+    random_gauge_element,
+)
 from prelie import multicomplex as mcx
 
 
@@ -272,3 +289,118 @@ def test_output_file_and_round_trip(tmp_path, capsys):
 
     beta = element_from_dict(payload["beta"])
     assert element_to_dict(beta) == payload["beta"]
+
+
+@pytest.mark.parametrize("verb", ["exp", "magnus", "gauge-act", "bch"])
+def test_order_below_one_exit_2(tmp_path, capsys, verb):
+    series_file = tmp_path / "s.txt"
+    series_file.write_text("1 (a)\n")
+    files = {"exp": [series_file], "magnus": [series_file],
+             "gauge-act": [series_file, series_file], "bch": ["x", "y"]}[verb]
+    code, out, err = run(capsys, "prelie", verb, *map(str, files), "--order", "0")
+    assert (code, out, err) == (2, "", "error: truncation order must be >= 1, got 0\n")
+
+
+def test_internal_check_error_exit_3(tmp_path, capsys, monkeypatch):
+    _alpha, c = acyclic_dga(truncation=4)
+    gauged = gauge_act(random_gauge_element(c.big, 4, random.Random(3)),
+                       element_from_map(c.d, 4))
+    sfile = tmp_path / "gauged.json"
+    sfile.write_text(json.dumps(element_to_dict(gauged)))
+    code, _out, _err = run(capsys, "ainf", "trivialize", str(sfile))
+    assert code == 0
+    monkeypatch.setattr(linalg, "solve_sparse",
+                        lambda rows, rhs, nvars: (True, [Fraction(0)] * nvars))
+    code, out, err = run(capsys, "ainf", "trivialize", str(sfile))
+    assert (code, out) == (3, "")
+    assert err == "error: find_trivializer: the isotopy found is no infinity-morphism\n"
+
+
+def _verdict_inputs():
+    """Inputs with a false verdict: (argv, record) per module and verb."""
+    bad_tower = mcx.tower_to_dict(acyclic_tower())
+    for op in bad_tower["operators"]:
+        if op["weight"] == 1:
+            op["entries"][0][3] = "7"  # break the anticommutation with d
+    space = GradedSpace({1: 2})
+    b2 = MultiOp(space, space, 2, -1)  # a.a = b, a.b = a: not associative
+    b2[((1, 0), (1, 0)), (1, 1)] = 1
+    b2[((1, 0), (1, 1)), (1, 0)] = 1
+    return {
+        "multicomplex-mc-check": (["multicomplex", "mc-check"], bad_tower),
+        "multicomplex-trivialize": (["multicomplex", "trivialize"],
+                                    mcx.tower_to_dict(obstructed_tower())),
+        "ainf-mc-check": (["ainf", "mc-check"],
+                          element_to_dict(ConvElement(space, space, 3, -1, {2: b2}))),
+        "ainf-trivialize": (["ainf", "trivialize"],
+                            element_to_dict(massey_dga(truncation=3)[0])),
+    }
+
+
+def _entry(ins, out, coeff):
+    return [[list(b) for b in ins], list(out), coeff]
+
+
+VERDICT_TEXT = {
+    "multicomplex-mc-check": (
+        "maurer-cartan: FAIL\n"
+        "first nonzero square at weight 1\n"
+        "residual entries: [[1, 0, 1, '4']]\n"
+    ),
+    "multicomplex-trivialize": (
+        "trivializer: NOT FOUND\n"
+        "obstruction at weight 1\n"
+        "residual entries: [[0, 0, 0, '1']]\n"
+    ),
+    "ainf-mc-check": (
+        "maurer-cartan: FAIL\n"
+        "first nonzero square at arity 3\n"
+        'residual: {"arity": 3, "degree": -2, "entries": '
+        '[[[[1, 0], [1, 0], [1, 0]], [1, 0], "-1"], [[[1, 0], [1, 0], [1, 1]], [1, 1], "-1"], '
+        '[[[1, 0], [1, 1], [1, 0]], [1, 1], "1"], [[[1, 0], [1, 1], [1, 1]], [1, 0], "1"]]}\n'
+    ),
+    "ainf-trivialize": (
+        "trivializer: NOT FOUND\n"
+        "obstruction at arity 3\n"
+        'residual: {"arity": 3, "degree": -1, "entries": '
+        '[[[[0, 0], [0, 1], [0, 2]], [-1, 1], "1"]]}\n'
+    ),
+}
+
+VERDICT_JSON = {
+    "multicomplex-mc-check": {
+        "maurer_cartan": False, "weight": 1, "residual": [[1, 0, 1, "4"]],
+    },
+    "multicomplex-trivialize": {
+        "trivial": False, "stage": 1, "residual": [[0, 0, 0, "1"]],
+    },
+    "ainf-mc-check": {
+        "maurer_cartan": False,
+        "arity": 3,
+        "residual": {"arity": 3, "degree": -2, "entries": [
+            _entry([(1, 0), (1, 0), (1, 0)], (1, 0), "-1"),
+            _entry([(1, 0), (1, 0), (1, 1)], (1, 1), "-1"),
+            _entry([(1, 0), (1, 1), (1, 0)], (1, 1), "1"),
+            _entry([(1, 0), (1, 1), (1, 1)], (1, 0), "1"),
+        ]},
+    },
+    "ainf-trivialize": {
+        "trivial": False,
+        "stage": 3,
+        "residual": {"arity": 3, "degree": -1, "entries": [
+            _entry([(0, 0), (0, 1), (0, 2)], (-1, 1), "1"),
+        ]},
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(VERDICT_TEXT))
+def test_false_verdict_exact_output(tmp_path, capsys, case):
+    verb, record = _verdict_inputs()[case]
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(record))
+    code, out, err = run(capsys, *verb, str(infile))
+    assert (code, out, err) == (1, VERDICT_TEXT[case], "")
+    code, out, err = run(capsys, *verb, str(infile), "--format", "json")
+    expected = json.dumps(VERDICT_JSON[case], indent=2, sort_keys=True) + "\n"
+    assert (code, out, err) == (1, expected, "")

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import acyclic_tower, bicomplex_tower, obstructed_tower, random_gauge_tower
 from prelie import multicomplex as mcx
-from prelie.errors import DomainError, ShapeError
+from prelie.errors import DomainError, ShapeError, ValidationError
 from prelie.linalg import GradedMap, GradedSpace
 
 
@@ -51,7 +51,7 @@ def test_mc_check_detects_bad_square():
     alpha = mcx.structure_tower(V, 4, {1: d1})
     report = mcx.mc_check(alpha)
     assert not report.ok
-    assert report.weight == 2
+    assert report.stage == 2
     assert not report.residual.is_zero()
 
 
@@ -176,3 +176,18 @@ def test_json_round_trip():
     lam = random_gauge_tower(alpha.space, alpha.truncation, rng)
     data = mcx.tower_to_dict(lam)
     assert mcx.tower_from_dict(data, offset=mcx.GAUGE) == lam
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"operators": []}, '"space" record'),
+        ({"space": {"dims": {"0": 1}}, "truncation": "x"}, "got 'x'"),
+        ({"space": {"dims": {"0": 1}}, "truncation": None}, "got None"),
+        ({"space": {"dims": {"0": 1}}}, "got None"),
+    ],
+    ids=["no-space", "truncation-x", "truncation-null", "no-truncation"],
+)
+def test_tower_from_dict_typed_errors(record, message):
+    with pytest.raises(ValidationError, match=message):
+        mcx.tower_from_dict(record)

@@ -1,5 +1,7 @@
 """Homotopy transfer: contractions, symmetrized homotopies, kernels, triviality."""
 
+import collections
+import importlib
 import random
 from fractions import Fraction
 
@@ -43,6 +45,8 @@ from prelie.errors import DomainError, ValidationError
 from prelie.linalg import GradedMap
 
 FIXTURES = [acyclic_dga, line_dga, massey_dga, formal_dga]
+# the module; ``prelie.ainf.transfer`` as an attribute is the function
+transfer_module = importlib.import_module("prelie.ainf.transfer")
 
 
 def test_contraction_validation_names_the_violated_condition():
@@ -217,6 +221,30 @@ def test_transfer_identities(fixture):
         "i_inf_morphism",
         "p_inf_morphism",
     }
+
+
+def test_transfer_builds_each_kernel_once(monkeypatch):
+    alpha, c = massey_dga(truncation=4)
+    calls = collections.Counter()
+    for name in ("mc_check", "_phi", "_psi"):
+        def counted(*args, _name=name, _fn=getattr(transfer_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(transfer_module, name, counted)
+    result = transfer(alpha, c)
+    # one Maurer-Cartan check of alpha, one of beta
+    assert calls == {"mc_check": 2, "_phi": 1, "_psi": 1}
+    assert [name for name, _ok in result.checks] == [
+        "maurer_cartan_beta",
+        "hat_formula",
+        "check_formula",
+        "hat_check_same_transfer",
+        "psi_phi_sum",
+        "p_inf_circle_i_inf",
+        "i_inf_morphism",
+        "p_inf_morphism",
+    ]
 
 
 def test_transfer_of_bare_differential():
