@@ -13,21 +13,25 @@ Everything is driven by the two group-like kernels
 whose gauge twists restrict outputs / inputs to the embedded homology.
 """
 
+from fractions import Fraction
+
 from prelie.ainf import (
     ConvElement,
     Contraction,
     MultiOp,
     circle,
     find_trivializer,
+    h_push,
     is_gauge_trivial,
     mc_check,
     phi_kernel,
-    phi_kernel_by_trees,
     psi_kernel,
     transfer,
     unit_element,
 )
+from prelie.calculus import tree_monomial
 from prelie.linalg import GradedMap, GradedSpace
+from prelie.trees import aut_order, enumerate_trees
 
 A = 5
 # desuspended degrees: x, y, z, u at 0; e, w at -1
@@ -55,9 +59,14 @@ c = Contraction(big, small, d, i, p, h)
 
 phi = phi_kernel(alpha, c)
 psi = psi_kernel(alpha, c)
+habar = h_push(ConvElement(big, big, A, -1, {2: b2}), c)
+tree_sum = unit_element(big, A)
+for n in range(1, A + 1):
+    for shape in enumerate_trees(n, max_vertices=A):
+        tree_sum = tree_sum + tree_monomial(shape, habar) * Fraction(1, aut_order(shape))
 print("\nPhi kernel arities:", sorted(phi.components),
       "(fixed point = tree sum with 1/|Aut t| coefficients:",
-      phi == phi_kernel_by_trees(alpha, c), ")")
+      phi == tree_sum, ")")
 print("Psi o Phi == Psi + Phi - 1:",
       circle(psi, phi) == psi + phi - unit_element(big, A))
 

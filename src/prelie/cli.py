@@ -61,12 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
     tsub = t.add_subparsers(dest="verb", required=True)
     p = tsub.add_parser("enumerate", help="all rooted trees with a given vertex count")
     p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=trees.DEFAULT_MAX_VERTICES)
     common(p)
     p.set_defaults(handler=_cmd_trees_enumerate)
     p = tsub.add_parser("levelizations", help="levelizations and weights per tree")
     p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=trees.DEFAULT_MAX_VERTICES)
     common(p)
     p.set_defaults(handler=_cmd_trees_levelizations)
 
@@ -159,7 +157,7 @@ def _emit_payload(args, payload: dict, text_lines) -> None:
 
 
 def _cmd_trees_enumerate(args) -> int:
-    ts = trees.enumerate_trees(args.vertices, max_vertices=args.max_vertices)
+    ts = trees.enumerate_trees(args.vertices)
     payload = {"vertices": args.vertices, "count": len(ts), "trees": [t.to_text() for t in ts]}
     lines = [f"# {len(ts)} rooted trees with {args.vertices} vertices"]
     lines += [t.to_text() for t in ts]
@@ -169,7 +167,7 @@ def _cmd_trees_enumerate(args) -> int:
 
 def _cmd_trees_levelizations(args) -> int:
     records = []
-    for t in trees.enumerate_trees(args.vertices, max_vertices=args.max_vertices):
+    for t in trees.enumerate_trees(args.vertices):
         levs = trees.levelizations(t)
         weights = [trees.level_weight(lev) for lev in levs]
         records.append(

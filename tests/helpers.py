@@ -16,13 +16,29 @@ and associativity (checked in the tests themselves).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from prelie.ainf import Contraction, ConvElement, MultiOp
+from prelie import calculus
+from prelie.ainf import (
+    Contraction,
+    ConvElement,
+    MultiOp,
+    TensorOperator,
+    circle,
+    circle_inverse,
+    element_from_map,
+    h_push,
+    star,
+    unit_element,
+)
+from prelie.ainf.transfer import _abar, _phi, _psi, _r_operator
+from prelie.errors import DomainError
 from prelie.linalg import GradedMap, GradedSpace
 from prelie.series import LabeledTree, TreeSeries, bracket
+from prelie.trees import aut_order, enumerate_trees
 from prelie import multicomplex as mcx
 
 
@@ -322,8 +338,6 @@ def random_gauge_element(space, truncation, rng, nentries=2):
 
 
 def random_grouplike(space, truncation, rng, nentries=2):
-    from prelie.ainf import unit_element
-
     return unit_element(space, truncation) + random_gauge_element(
         space, truncation, rng, nentries
     )
@@ -529,3 +543,149 @@ def stage_operator(fn, d_op):
 def commutator(fn, d):
     """fn d - d fn: the map each multicomplex ``trivialize`` stage solves."""
     return fn.compose(d) - d.compose(fn)
+
+
+# -- homotopy transfer oracles -------------------------------------------------------
+
+
+def tensor_identity(space: GradedSpace, arity: int):
+    out = TensorOperator(space, arity, 0)
+    for ins in itertools.product(space.basis(), repeat=arity):
+        out.add_entry(ins, ins, Fraction(1))
+    return out
+
+
+def tensor_from_factors(factors, coefficient=Fraction(1)):
+    """Operator  f_1 x ... x f_n  from graded maps, with Koszul signs.
+
+    Factor m picks up (-1)^(|f_m| * (degrees of inputs before it)).
+    """
+    space = factors[0].source
+    out = TensorOperator(space, len(factors), sum(f.degree for f in factors))
+    columns = [{b: images for b in space.basis() if (images := f.apply(b))} for f in factors]
+
+    def expand(pos, ins, outs, coeff, parity):
+        if pos == len(factors):
+            out.add_entry(ins, outs, coeff * coefficient)
+            return
+        sign = -1 if factors[pos].degree % 2 and parity % 2 else 1
+        for b, images in columns[pos].items():
+            for out_b, c in images:
+                expand(pos + 1, ins + (b,), outs + (out_b,), coeff * c * sign, parity + b[0])
+
+    expand(0, (), (), Fraction(1), 0)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def sym_homotopy(c: Contraction, n: int):
+    """Symmetrized homotopy h_n of degree +1 on the n-th tensor power, built
+    entry by entry: h on one slot, the projector pi on a subset P of the
+    others and the identity elsewhere, weighted by |P|! (n-1-|P|)! / n!.
+    Cached per contraction object; callers must not modify the result."""
+    ident = GradedMap.identity(c.big)
+    out = TensorOperator(c.big, n, 1)
+    for hpos in range(n):
+        rest = [q for q in range(n) if q != hpos]
+        for r in range(n):
+            for pset in itertools.combinations(rest, r):
+                factors = [c.h if q == hpos else c.pi if q in pset else ident for q in range(n)]
+                weight = Fraction(math.factorial(n - 1 - r) * math.factorial(r), math.factorial(n))
+                out._iadd(tensor_from_factors(factors, weight))
+    return out
+
+
+def h_star_by_sym_homotopy(y: ConvElement, c: Contraction) -> ConvElement:
+    """(-1)^{|y|} y_n o h_n through the materialized h_n of :func:`sym_homotopy`."""
+    sign = -1 if y.degree % 2 else 1
+    out = ConvElement(y.source, y.target, y.truncation, y.degree + 1)
+    for n, op in y.components.items():
+        composed = MultiOp(y.source, y.target, n, op.degree + 1)
+        by_mid = {}
+        for (ins, mid), c1 in sym_homotopy(c, n).entries.items():
+            by_mid.setdefault(mid, []).append((ins, c1))
+        for (mid, out_b), c2 in op.entries.items():
+            for ins, c1 in by_mid.get(mid, ()):
+                key = (ins, out_b)
+                composed[key[0], key[1]] = composed.entries.get(key, 0) + sign * c1 * c2
+        if not composed.is_zero():
+            out.components[n] = composed
+    return out
+
+
+def phi_kernel_by_inverse(alpha, c):
+    """Closed form  Phi = (1 - h abar)^{(o) -1}."""
+    habar = h_push(_abar(alpha, c), c)
+    return circle_inverse(unit_element(alpha.source, alpha.truncation) - habar)
+
+
+def phi_kernel_by_trees(alpha, c):
+    """Closed form  Phi = sum over rooted trees of t(h abar) / |Aut t|."""
+    habar = h_push(_abar(alpha, c), c)
+    phi = unit_element(alpha.source, alpha.truncation)
+    for n in range(1, phi.max_weight + 1):
+        for shape in enumerate_trees(n, max_vertices=phi.max_weight):
+            phi = phi + calculus.tree_monomial(shape, habar) * Fraction(1, aut_order(shape))
+    return phi
+
+
+def tech_r_check(alpha, c, xs=None) -> bool:
+    """Exact check of the two rewriting identities behind the kernels:
+
+    (1)  (Psi * abar) (o) pi  ==  (abar (o) Phi) (o) pi
+    (2)  sum_k R^k(x (o) pi)  ==  x (o) pi (o) Psi   for morphism-kind x,
+
+    with  R(x) = -h^*(x * abar).
+    """
+    abar = _abar(alpha, c)
+    phi = _phi(abar, c)
+    psi = _psi(abar, c)
+    pi_elt = element_from_map(c.pi, alpha.truncation)
+    lhs = circle(star(psi, abar), pi_elt)
+    rhs = circle(circle(abar, phi), pi_elt)
+    if lhs != rhs:
+        return False
+    if xs is None:
+        habar = h_push(abar, c)
+        xs = [unit_element(alpha.source, alpha.truncation), phi, psi,
+              unit_element(alpha.source, alpha.truncation) + habar]
+    for x in xs:
+        if x.degree != 0:
+            raise DomainError("tech_r_check probes must be morphism-kind")
+        seed = circle(x, pi_elt)
+        total = seed
+        term = seed
+        for _ in range(alpha.truncation):
+            term = _r_operator(term, abar, c)
+            if term.is_zero():
+                break
+            total = total + term
+        if total != circle(seed, psi):
+            return False
+    return True
+
+
+def binomial_identities_check(bound: int) -> bool:
+    """Exhaustively verify the two binomial identities used by the homotopy
+    symmetrization lemma, for all parameters up to ``bound``:
+
+        C(a+b+c+1, a+b+1) = sum_{i+j=c} C(a+i, a) C(b+j, b)
+        C(a+b+c+d+2, a+b+1) = sum_{i+j=b} C(a+c+i+1, c) C(j+d, d)
+                            + sum_{i+j=d} C(a+c+i+1, a) C(j+b, b)
+    """
+    rng = range(bound + 1)
+    for a, b, cc in itertools.product(rng, repeat=3):
+        lhs = math.comb(a + b + cc + 1, a + b + 1)
+        rhs = sum(math.comb(a + i, a) * math.comb(b + (cc - i), b) for i in range(cc + 1))
+        if lhs != rhs:
+            return False
+    for a, b, cc, d in itertools.product(rng, repeat=4):
+        lhs = math.comb(a + b + cc + d + 2, a + b + 1)
+        rhs = sum(
+            math.comb(a + cc + i + 1, cc) * math.comb((b - i) + d, d) for i in range(b + 1)
+        ) + sum(
+            math.comb(a + cc + i + 1, a) * math.comb((d - i) + b, b) for i in range(d + 1)
+        )
+        if lhs != rhs:
+            return False
+    return True

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from helpers import (
     acyclic_dga,
+    binomial_identities_check,
     dynkin_bch,
     formal_dga,
     massey_dga,
@@ -19,6 +20,10 @@ from helpers import (
     random_grouplike,
     random_tree_series,
     oracle_tree_shapes,
+    sym_homotopy,
+    tech_r_check,
+    tensor_from_factors,
+    tensor_identity,
     tree_to_ahu,
 )
 from prelie import calculus
@@ -26,7 +31,6 @@ from prelie import multicomplex as mcx
 from prelie.ainf import (
     alpha_check,
     alpha_hat,
-    binomial_identities_check,
     circle as conv_circle,
     element_from_map,
     find_trivializer,
@@ -36,9 +40,6 @@ from prelie.ainf import (
     mc_check as conv_mc_check,
     psi_kernel,
     phi_kernel,
-    tech_r_check,
-    tensor_from_factors,
-    tensor_identity,
     transfer,
     unit_element,
 )
@@ -177,7 +178,7 @@ def test_criterion_09_homotopy_symmetrization_identities():
         for k in range(0, 5):
             for l in range(0, 5 - k):
                 n = k + 1 + l
-                left = c.sym_homotopy(n).compose(
+                left = sym_homotopy(c, n).compose(
                     tensor_from_factors([c.h] * k + [ident] + [c.pi] * l)
                 )
                 right = tensor_from_factors(
@@ -187,11 +188,11 @@ def test_criterion_09_homotopy_symmetrization_identities():
         # identity (2), p, q >= 1 with p+q <= 5
         for p in range(1, 5):
             for q in range(1, 6 - p):
-                hp, hq = c.sym_homotopy(p), c.sym_homotopy(q)
+                hp, hq = sym_homotopy(c, p), sym_homotopy(c, q)
                 lhs = (
                     hp.tensor(tensor_identity(c.big, q))
                     - tensor_identity(c.big, p).tensor(hq)
-                ).compose(c.sym_homotopy(p + q))
+                ).compose(sym_homotopy(c, p + q))
                 assert lhs == hp.tensor(hq)
     assert binomial_identities_check(6)
     _report(9, "symmetrized-homotopy identities (p+q <= 5, 10 contractions) and binomials <= 6")

@@ -43,6 +43,18 @@ def test_trees_enumerate(capsys):
     assert json.loads(out)["count"] == 4
 
 
+def test_trees_vertex_bound_is_fixed(capsys):
+    # the bound is trees.DEFAULT_MAX_VERTICES; no flag lifts it
+    for verb in ("enumerate", "levelizations"):
+        code, out, err = run(capsys, "trees", verb, "--vertices", "30")
+        assert (code, out) == (2, "")
+        assert err == "error: vertex count must be in 1..10, got 30\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["trees", verb, "--vertices", "3", "--max-vertices", "30"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
 def test_trees_levelizations_reports_n_t(capsys):
     code, out, _ = run(capsys, "trees", "levelizations", "--vertices", "4")
     assert code == 0
@@ -234,7 +246,7 @@ def test_ainf_mc_check_and_transfer(tmp_path, capsys):
         "hat_formula",
         "check_formula",
         "hat_check_same_transfer",
-        "psi_phi_sum",
+        "psi_fixes_i_inf",
         "p_inf_circle_i_inf",
         "i_inf_morphism",
         "p_inf_morphism",

@@ -6,43 +6,51 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
+    COEFF_CHOICES,
+    a_infinity_instance,
     acyclic_dga,
+    binomial_identities_check,
     formal_dga,
+    h_star_by_sym_homotopy,
     line_dga,
     massey_dga,
+    phi_kernel_by_inverse,
+    phi_kernel_by_trees,
     random_contraction,
     random_conv_element,
     random_gauge_element,
+    sym_homotopy,
+    tech_r_check,
+    tensor_from_factors,
+    tensor_identity,
 )
 from prelie import calculus
 from prelie.ainf import (
     Contraction,
+    ConvElement,
+    MultiOp,
     alpha_check,
     alpha_hat,
-    binomial_identities_check,
     circle,
     element_from_map,
     find_trivializer,
     gauge_act,
+    h_star,
     inf_morphism_check,
     is_gauge_trivial,
     mc_check,
     phi_kernel,
-    phi_kernel_by_inverse,
-    phi_kernel_by_trees,
     psi_kernel,
     star,
-    tech_r_check,
-    tensor_from_factors,
-    tensor_identity,
     transfer,
     unit_element,
 )
-from prelie.ainf.transfer import h_push, _abar
+from prelie.ainf.transfer import h_push, _abar, _phi, _psi
 from prelie.errors import DomainError, ValidationError
-from prelie.linalg import GradedMap
+from prelie.linalg import GradedMap, GradedSpace
 
 FIXTURES = [acyclic_dga, line_dga, massey_dga, formal_dga]
 # the module; ``prelie.ainf.transfer`` as an attribute is the function
@@ -68,7 +76,7 @@ def test_sym_homotopy_base_case():
     rng = random.Random(0)
     for _ in range(3):
         c = random_contraction(rng)
-        h1 = c.sym_homotopy(1)
+        h1 = sym_homotopy(c, 1)
         assert h1 == tensor_from_factors([c.h])
 
 
@@ -84,10 +92,10 @@ def test_sym_homotopy_staircase_identity():
         for k in range(0, 3):
             for l in range(0, 3 - k):
                 n = k + 1 + l
-                left = c.sym_homotopy(n).compose(
+                left = sym_homotopy(c, n).compose(
                     tensor_from_factors([c.h] * k + [ident] + [c.pi] * l)
                 )
-                middle = c.sym_homotopy(k + 1).compose(
+                middle = sym_homotopy(c, k + 1).compose(
                     tensor_from_factors([c.h] * k + [ident])
                 )
                 if l:
@@ -107,12 +115,115 @@ def test_sym_homotopy_splitting_identity():
             for q in range(1, 4):
                 if p + q > 4:
                     continue
-                hp, hq = c.sym_homotopy(p), c.sym_homotopy(q)
+                hp, hq = sym_homotopy(c, p), sym_homotopy(c, q)
                 lhs = (
                     hp.tensor(tensor_identity(c.big, q))
                     - tensor_identity(c.big, p).tensor(hq)
-                ).compose(c.sym_homotopy(p + q))
+                ).compose(sym_homotopy(c, p + q))
                 assert lhs == hp.tensor(hq)
+
+
+# built once, so that the materialized h_n of the oracle is cached per contraction
+PULLBACK_CONTRACTIONS = [f()[1] for f in FIXTURES] + [
+    random_contraction(random.Random(s), ndeg=3, maxdim=2, npairs=2) for s in range(6)
+]
+PULLBACK_BUDGET = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def pullback_cases(draw):
+    """A contraction and an element y with components of arities 1-5 and of
+    odd or even degree.  Every input tuple of y has a slot in the image of h,
+    so that h_n reaches it; the target space has every degree y needs."""
+    c = draw(st.sampled_from(PULLBACK_CONTRACTIONS))
+    degree = draw(st.integers(-2, 1))
+    basis = c.big.basis()
+    h_image = sorted({(sdeg + 1, tidx) for sdeg, _sidx, tidx in c.h.entries})
+    lo, hi = min(b[0] for b in basis), max(b[0] for b in basis)
+    target = GradedSpace({k: 1 for k in range(min(lo, 5 * lo) + degree, max(hi, 5 * hi) + degree + 1)})
+    y = ConvElement(c.big, target, 5, degree)
+    for n in draw(st.sets(st.integers(1, 5), min_size=1, max_size=3)):
+        op = MultiOp(c.big, target, n, degree)
+        for _ in range(draw(st.integers(1, 4))):
+            ins = [draw(st.sampled_from(basis)) for _ in range(n)]
+            ins[draw(st.integers(0, n - 1))] = draw(st.sampled_from(h_image))
+            op[tuple(ins), (sum(b[0] for b in ins) + degree, 0)] = draw(st.sampled_from(COEFF_CHOICES))
+        y.components[n] = op
+    return c, y
+
+
+@PULLBACK_BUDGET
+@given(pullback_cases())
+def test_h_star_equals_materialized_pullback(case):
+    c, y = case
+    assert h_star(y, c) == h_star_by_sym_homotopy(y, c)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_h_star_on_kernel_inputs(fixture):
+    # the elements h^* meets inside Psi: abar, 1 * abar and Psi * abar
+    alpha, c = fixture(truncation=5)
+    abar = _abar(alpha, c)
+    psi = _psi(abar, c)
+    for y in (abar, star(unit_element(c.big, 5), abar), star(psi, abar)):
+        assert h_star(y, c) == h_star_by_sym_homotopy(y, c)
+
+
+def test_psi_phi_sum_fails_on_a_valid_input():
+    """Psi (o) Phi == Psi + Phi - 1 is no identity of the transfer: an
+    identity slot of h_n lets Phi - 1 through.  ``transfer`` checks
+    Psi (o) i_inf == i_inf instead, which holds."""
+    c = random_contraction(random.Random(1), ndeg=3, maxdim=2, npairs=3)
+    alpha = gauge_act(
+        random_gauge_element(c.big, 4, random.Random(101), nentries=4), element_from_map(c.d, 4)
+    )
+    ident = GradedMap.identity(c.big)
+    assert c.proj.compose(c.incl) == GradedMap.identity(c.small)
+    assert c.incl.compose(c.proj) - ident == c.d.compose(c.h) + c.h.compose(c.d)
+    assert c.h.compose(c.h).is_zero()
+    assert c.proj.compose(c.h).is_zero()
+    assert c.h.compose(c.incl).is_zero()
+    assert mc_check(alpha).ok
+    abar = _abar(alpha, c)
+    phi, psi = _phi(abar, c), _psi(abar, c)
+    assert circle(psi, phi) != psi + phi - unit_element(c.big, 4)
+    result = transfer(alpha, c)
+    assert result.all_green()
+    assert circle(psi, result.i_inf) == result.i_inf
+
+
+TWO_ROUTE_BUDGET = settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def gauged_structures(draw):
+    """A structure e^lambda . alpha and a contraction onto homology: alpha is
+    the bare differential of a random contraction, or one of the Massey,
+    formal and A-infinity fixtures."""
+    truncation = draw(st.integers(3, 4))
+    source = draw(st.sampled_from(["random", "massey", "formal", "a_infinity"]))
+    if source == "random":
+        c = random_contraction(random.Random(draw(st.integers(0, 10**6))), ndeg=3, maxdim=2, npairs=3)
+        alpha = element_from_map(c.d, truncation)
+    else:
+        make = {"massey": massey_dga, "formal": formal_dga, "a_infinity": a_infinity_instance}
+        alpha, c = make[source](truncation)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    lam = random_gauge_element(c.big, truncation, rng, nentries=draw(st.integers(0, 4)))
+    return gauge_act(lam, alpha), c
+
+
+@TWO_ROUTE_BUDGET
+@given(gauged_structures())
+def test_gauge_triviality_two_routes_agree(case):
+    # for a contraction onto homology, the transferred structure is trivial
+    # exactly when the stage-wise search finds a trivializer
+    alpha, c = case
+    assert is_gauge_trivial(alpha, c) == find_trivializer(alpha).found
 
 
 def test_binomial_identities():
@@ -216,7 +327,7 @@ def test_transfer_identities(fixture):
         "hat_formula",
         "check_formula",
         "hat_check_same_transfer",
-        "psi_phi_sum",
+        "psi_fixes_i_inf",
         "p_inf_circle_i_inf",
         "i_inf_morphism",
         "p_inf_morphism",
@@ -240,7 +351,7 @@ def test_transfer_builds_each_kernel_once(monkeypatch):
         "hat_formula",
         "check_formula",
         "hat_check_same_transfer",
-        "psi_phi_sum",
+        "psi_fixes_i_inf",
         "p_inf_circle_i_inf",
         "i_inf_morphism",
         "p_inf_morphism",
