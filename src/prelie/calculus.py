@@ -96,16 +96,37 @@ def magnus_series(a):
     """The series L with ``exp_series(L) == unit + a``, solved weight by weight.
 
     This is the logarithm inverse to :func:`exp_series`; for pre-Lie products
-    it is the Magnus expansion.
+    it is the Magnus expansion.  With ``powers[k][m]`` the weight-m part of
+    the right-iterated power L^{*k}, the weight-n part of the equation reads
+
+        L_n = a_n - sum_{k=2..n} (L^{*k})_n / k!,
+        (L^{*k})_n = sum_j powers[k-1][j] * L_{n-j},
+
+    and every factor has weight below n, so each product of two weight
+    components is formed once.  Powers at the top weight are never a factor
+    and are not kept.
     """
     if not a.weight_component(0).is_zero():
         raise DomainError("logarithm needs a trivial weight-0 component")
+    top = a.max_weight
     lam = a.zero_like()
-    unit = a.unit_like()
-    for n in range(1, a.max_weight + 1):
-        defect = (a - (exp_series(lam) - unit)).weight_component(n)
-        if not defect.is_zero():
-            lam = lam + defect
+    parts: dict = {}  # weight -> the non-zero component of L there
+    powers: dict = {1: parts}
+    for n in range(1, top + 1):
+        lam_n = a.weight_component(n)
+        for k in range(2, n + 1):
+            power_n = a.zero_like()
+            for j, factor in powers.get(k - 1, {}).items():
+                if n - j in parts:
+                    power_n = power_n + factor.star(parts[n - j])
+            if power_n.is_zero():
+                continue
+            lam_n = lam_n - power_n * Fraction(1, math.factorial(k))
+            if n < top:
+                powers.setdefault(k, {})[n] = power_n
+        if not lam_n.is_zero():
+            parts[n] = lam_n
+            lam = lam + lam_n
     return lam
 
 
@@ -155,35 +176,22 @@ def tree_monomial(shape, value):
     return symmetric_brace(value, [tree_monomial(c, value) for c in shape.children])
 
 
-def circle_by_braces(a, g):
-    """Circle product  a (o) g = sum_n {a; b,..,b} / n!  with g = unit + b."""
-    if not (g.weight_component(0) - g.unit_like()).is_zero():
-        raise DomainError("right factor of the circle product must be group-like")
-    b = g - g.unit_like()
-    out = a
-    args: list = []
-    for n in range(1, a.max_weight + 1):
-        args.append(b)
-        term = symmetric_brace(a, args)
-        if term.is_zero():
-            break
-        out = out + term * Fraction(1, math.factorial(n))
-    return out
-
-
 def circle_inverse(g, circle):
     """Inverse of a group-like element for the given circle product.
 
-    Solved weight by weight from  x (o) g = unit ; the weight-n component of
-    the equation involves x only through its components of weight < n plus
-    the unknown x_(n) itself.
+    Solved weight by weight from  x (o) g = unit.  The product is linear in
+    x, so ``acc`` keeps  x_(<n) (o) g, starting from  unit (o) g = g: the
+    weight-n component of  unit - acc  is x_(n), and only that new component
+    is then composed with g.
     """
     unit = g.unit_like()
     if not (g.weight_component(0) - unit).is_zero():
         raise DomainError("only group-like elements are circle-invertible")
     x = unit
+    acc = g
     for n in range(1, g.max_weight + 1):
-        defect = (unit - circle(x, g)).weight_component(n)
-        if not defect.is_zero():
-            x = x + defect
+        x_n = (unit - acc).weight_component(n)
+        if not x_n.is_zero():
+            x = x + x_n
+            acc = acc + circle(x_n, g)
     return x

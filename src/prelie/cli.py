@@ -20,15 +20,19 @@ import json
 import sys
 
 from . import ainf, multicomplex, series, trees
-from .errors import InternalCheckError, PreLieError
+from .errors import DomainError, InternalCheckError, PreLieError
 
 DEFAULT_ORDER = 6
+# bound on --order of the prelie verbs: order 8 takes seconds, order 9 minutes
+MAX_ORDER = 8
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "order", 0) > MAX_ORDER:
+            raise DomainError(f"truncation order must be <= {MAX_ORDER}, got {args.order}")
         return args.handler(args)
     except BrokenPipeError:
         return 0

@@ -15,7 +15,6 @@ the test suite.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import calculus
@@ -191,14 +190,22 @@ class TreeSeries(Combination):
 # -- grafting ----------------------------------------------------------------
 
 
-def _graft_trees(s: LabeledTree, t: LabeledTree):
-    """All ways to attach t's root as a new child of a vertex of s."""
-    out = [LabeledTree(s.label, s.children + (t,))]
-    for i, child in enumerate(s.children):
-        for grafted in _graft_trees(child, t):
-            out.append(
-                LabeledTree(s.label, s.children[:i] + (grafted,) + s.children[i + 1 :])
-            )
+def _graft_trees(s: LabeledTree, t: LabeledTree, memo: dict):
+    """All ways to attach t's root as a new child of a vertex of s.
+
+    ``memo`` maps (subtree, t) to its list, so a subtree shared by several
+    trees, or repeated among one tree's children, is grafted into once.
+    """
+    key = (s, t)
+    out = memo.get(key)
+    if out is None:
+        out = [LabeledTree(s.label, s.children + (t,))]
+        for i, child in enumerate(s.children):
+            for grafted in _graft_trees(child, t, memo):
+                out.append(
+                    LabeledTree(s.label, s.children[:i] + (grafted,) + s.children[i + 1 :])
+                )
+        memo[key] = out
     return out
 
 
@@ -206,17 +213,24 @@ def graft(s: TreeSeries, t: TreeSeries) -> TreeSeries:
     """Pre-Lie grafting product, bilinear over trees.
 
     The unit grafts as a left unit only:  1 * x = x  while  sigma * 1 = 0
-    for every tree sigma.
+    for every tree sigma.  The grafts of each (subtree, tau) pair are
+    computed once per call and shared between the trees of ``s`` that hold
+    that subtree; the memo is dropped on return.  The trees of ``t`` are
+    visited by vertex count, so each sigma stops at the truncation instead
+    of testing every pair.
     """
     s._check(t)
     order = s.order
     result = t * s.unit  # 1 * x = x on the unit part of s
+    taus = sorted(t.terms.items(), key=lambda tc: tc[0].nvertices)
+    memo: dict = {}
     for sigma, cs in s.terms.items():
-        for tau, ct in t.terms.items():
-            if sigma.nvertices + tau.nvertices > order:
-                continue
+        room = order - sigma.nvertices
+        for tau, ct in taus:
+            if tau.nvertices > room:
+                break
             c = cs * ct
-            for tree in _graft_trees(sigma, tau):
+            for tree in _graft_trees(sigma, tau, memo):
                 add_into(result.terms, tree, c)
     return result
 
@@ -245,8 +259,8 @@ def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
     Computed by attaching, at every vertex of every tree of ``a``
     independently, a multiset of trees of b weighted by prod c^m / m!;
     grouping the brace expansion by which vertex receives which arguments
-    shows the two formulas agree (the expansion itself is kept available as
-    ``calculus.circle_by_braces`` and cross-checked in the tests).
+    shows the two formulas agree (the tests cross-check it against the
+    expansion itself).
     """
     a._check(g)
     _require_grouplike(g)
@@ -306,23 +320,6 @@ def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
         for tree, coeff, _used in decorate(sigma, order - sigma.nvertices):
             add_into(result.terms, tree, cs * coeff)
     return result
-
-
-def circle_pointed(a: TreeSeries, g: TreeSeries, c: TreeSeries) -> TreeSeries:
-    """One-argument-distinguished circle product sum_n {a; b,..,b, c} / n!."""
-    a._check(g)
-    a._check(c)
-    _require_grouplike(g)
-    b = g - g.unit_like()
-    out = a.zero_like()
-    args = [c]
-    for n in range(0, a.max_weight + 1):
-        term = calculus.symmetric_brace(a, args)
-        out = out + term * Fraction(1, math.factorial(n))
-        if b.is_zero():
-            break
-        args = [b] + args
-    return out
 
 
 # -- exponential, logarithm, group structure ---------------------------------

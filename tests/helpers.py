@@ -35,6 +35,7 @@ from prelie.ainf import (
     unit_element,
 )
 from prelie.ainf.transfer import _abar, _phi, _psi, _r_operator
+from prelie.combination import add_into
 from prelie.errors import DomainError
 from prelie.linalg import GradedMap, GradedSpace
 from prelie.series import LabeledTree, TreeSeries, bracket
@@ -488,6 +489,94 @@ def dynkin_bch(x: TreeSeries, y: TreeSeries, max_weight: int) -> TreeSeries:
 
     rec([], 0)
     return total
+
+
+# -- series calculus oracles: the routes the weight-graded code replaced --------------
+
+
+def magnus_by_exp(a):
+    """The logarithm inverse to ``exp_series``, found by re-running the whole
+    exponential once per weight and correcting the weight-n defect."""
+    if not a.weight_component(0).is_zero():
+        raise DomainError("logarithm needs a trivial weight-0 component")
+    lam = a.zero_like()
+    unit = a.unit_like()
+    for n in range(1, a.max_weight + 1):
+        defect = (a - (calculus.exp_series(lam) - unit)).weight_component(n)
+        if not defect.is_zero():
+            lam = lam + defect
+    return lam
+
+
+def circle_inverse_by_resolve(g, circle):
+    """Circle inverse solved from  x (o) g = unit, composing the whole growing
+    x with g again at every weight."""
+    unit = g.unit_like()
+    if not (g.weight_component(0) - unit).is_zero():
+        raise DomainError("only group-like elements are circle-invertible")
+    x = unit
+    for n in range(1, g.max_weight + 1):
+        defect = (unit - circle(x, g)).weight_component(n)
+        if not defect.is_zero():
+            x = x + defect
+    return x
+
+
+def circle_by_braces(a, g):
+    """Circle product  a (o) g = sum_n {a; b,..,b} / n!  with g = unit + b."""
+    if not (g.weight_component(0) - g.unit_like()).is_zero():
+        raise DomainError("right factor of the circle product must be group-like")
+    b = g - g.unit_like()
+    out = a
+    args: list = []
+    for n in range(1, a.max_weight + 1):
+        args.append(b)
+        term = calculus.symmetric_brace(a, args)
+        if term.is_zero():
+            break
+        out = out + term * Fraction(1, math.factorial(n))
+    return out
+
+
+def circle_pointed(a: TreeSeries, g: TreeSeries, c: TreeSeries) -> TreeSeries:
+    """One-argument-distinguished circle product sum_n {a; b,..,b, c} / n!."""
+    a._check(g)
+    a._check(c)
+    if g.unit != 1:
+        raise DomainError("right factor of the circle product must have unit part 1")
+    b = g - g.unit_like()
+    out = a.zero_like()
+    args = [c]
+    for n in range(0, a.max_weight + 1):
+        term = calculus.symmetric_brace(a, args)
+        out = out + term * Fraction(1, math.factorial(n))
+        if b.is_zero():
+            break
+        args = [b] + args
+    return out
+
+
+def _graft_pair(s: LabeledTree, t: LabeledTree):
+    out = [LabeledTree(s.label, s.children + (t,))]
+    for i, child in enumerate(s.children):
+        for grafted in _graft_pair(child, t):
+            out.append(
+                LabeledTree(s.label, s.children[:i] + (grafted,) + s.children[i + 1 :])
+            )
+    return out
+
+
+def graft_by_pairs(s: TreeSeries, t: TreeSeries) -> TreeSeries:
+    """Grafting with every pair of trees grafted from scratch, no shared work."""
+    s._check(t)
+    result = t * s.unit
+    for sigma, cs in s.terms.items():
+        for tau, ct in t.terms.items():
+            if sigma.nvertices + tau.nvertices > s.order:
+                continue
+            for tree in _graft_pair(sigma, tau):
+                add_into(result.terms, tree, cs * ct)
+    return result
 
 
 def solve_sparse_by_scan(rows, rhs, nvars):

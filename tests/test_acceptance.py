@@ -11,6 +11,7 @@ from fractions import Fraction
 from helpers import (
     acyclic_dga,
     binomial_identities_check,
+    circle_by_braces,
     dynkin_bch,
     formal_dga,
     massey_dga,
@@ -26,7 +27,6 @@ from helpers import (
     tensor_identity,
     tree_to_ahu,
 )
-from prelie import calculus
 from prelie import multicomplex as mcx
 from prelie.ainf import (
     alpha_check,
@@ -204,7 +204,7 @@ def test_criterion_10_circle_brace_vs_decomposition():
     for _ in range(25):
         f = random_grouplike(space, 4, rng)
         g = random_grouplike(space, 4, rng)
-        assert conv_circle(f, g) == calculus.circle_by_braces(f, g)
+        assert conv_circle(f, g) == circle_by_braces(f, g)
     _report(10, "circle by brace expansion equals the decomposition composite, 25 random cases")
 
 

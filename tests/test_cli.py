@@ -313,6 +313,16 @@ def test_order_below_one_exit_2(tmp_path, capsys, verb):
     assert (code, out, err) == (2, "", "error: truncation order must be >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("verb", ["exp", "magnus", "gauge-act", "bch"])
+def test_order_above_bound_exit_2(tmp_path, capsys, verb):
+    # refused before any input is read: the series files do not exist
+    missing = str(tmp_path / "missing.txt")
+    args = {"exp": [missing], "magnus": [missing], "gauge-act": [missing, missing],
+            "bch": ["x", "y"]}[verb]
+    code, out, err = run(capsys, "prelie", verb, *args, "--order", "9")
+    assert (code, out, err) == (2, "", "error: truncation order must be <= 8, got 9\n")
+
+
 def test_internal_check_error_exit_3(tmp_path, capsys, monkeypatch):
     _alpha, c = acyclic_dga(truncation=4)
     gauged = gauge_act(random_gauge_element(c.big, 4, random.Random(3)),
