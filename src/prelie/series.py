@@ -15,6 +15,7 @@ the test suite.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from . import calculus
@@ -31,13 +32,7 @@ class LabeledTree:
 
     def __init__(self, label: str, children=()):
         kids = tuple(sorted(children, key=lambda c: c.key))
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "children", kids)
-        object.__setattr__(self, "nvertices", 1 + sum(c.nvertices for c in kids))
-        object.__setattr__(
-            self, "key", (self.nvertices, label, tuple(c.key for c in kids))
-        )
-        object.__setattr__(self, "_hash", hash(self.key))
+        _fill(self, label, kids, tuple(c.key for c in kids), 1 + sum(c.nvertices for c in kids))
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledTree is immutable")
@@ -75,6 +70,22 @@ class LabeledTree:
         if tree is None:
             raise ParseError("the empty tree '()' is not a LabeledTree", "column 1")
         return tree
+
+
+def _fill(tree, label, kids, kid_keys, nvertices, _set=object.__setattr__):
+    key = (nvertices, label, kid_keys)
+    _set(tree, "label", label)
+    _set(tree, "children", kids)
+    _set(tree, "nvertices", nvertices)
+    _set(tree, "key", key)
+    _set(tree, "_hash", hash(key))
+    return tree
+
+
+def _canonical_tree(label, kids, kid_keys, nvertices) -> LabeledTree:
+    """A tree from children already in canonical order, their keys and the
+    vertex count: nothing is sorted or recounted."""
+    return _fill(object.__new__(LabeledTree), label, kids, kid_keys, nvertices)
 
 
 def labeled_from_shape(shape: RootedTree, label: str) -> LabeledTree:
@@ -195,15 +206,32 @@ def _graft_trees(s: LabeledTree, t: LabeledTree, memo: dict):
 
     ``memo`` maps (subtree, t) to its list, so a subtree shared by several
     trees, or repeated among one tree's children, is grafted into once.
+    Each output tree is built in canonical order: the new or grown child is
+    inserted by ``bisect_right`` among its siblings' keys.  A grown child
+    only moves right, since its vertex count, the first entry of its key,
+    went up.
     """
     key = (s, t)
     out = memo.get(key)
     if out is None:
-        out = [LabeledTree(s.label, s.children + (t,))]
-        for i, child in enumerate(s.children):
+        label, kids, keys = s.label, s.children, s.key[2]
+        n = s.nvertices + t.nvertices
+        j = bisect_right(keys, t.key)
+        out = [
+            _canonical_tree(
+                label, kids[:j] + (t,) + kids[j:], keys[:j] + (t.key,) + keys[j:], n
+            )
+        ]
+        for i, child in enumerate(kids):
             for grafted in _graft_trees(child, t, memo):
+                j = bisect_right(keys, grafted.key, i + 1)
                 out.append(
-                    LabeledTree(s.label, s.children[:i] + (grafted,) + s.children[i + 1 :])
+                    _canonical_tree(
+                        label,
+                        kids[:i] + kids[i + 1 : j] + (grafted,) + kids[j:],
+                        keys[:i] + keys[i + 1 : j] + (grafted.key,) + keys[j:],
+                        n,
+                    )
                 )
         memo[key] = out
     return out

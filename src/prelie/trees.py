@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BoundsError, ValidationError
+from .errors import BoundsError, InternalCheckError, ValidationError
 
 DEFAULT_MAX_VERTICES = 10
 
@@ -208,14 +208,22 @@ def forest_structure(f):
     Ids are assigned by visiting the trees in canonical order, each tree in
     preorder with children in canonical order.  Roots have parent ``None``.
     """
-    forest = _as_forest(f)
+    parents, children, _subtrees = _structure(_as_forest(f))
+    return list(parents), [list(c) for c in children]
+
+
+@lru_cache(maxsize=4096)
+def _structure(forest: Forest):
+    # forest_structure as tuples, plus the subtree rooted at each vertex
     parents: list = []
     children: list = []
+    subtrees: list = []
 
     def visit(tree, parent):
         vid = len(parents)
         parents.append(parent)
         children.append([])
+        subtrees.append(tree)
         if parent is not None:
             children[parent].append(vid)
         for c in tree.children:
@@ -223,62 +231,82 @@ def forest_structure(f):
 
     for t in forest.trees:
         visit(t, None)
-    return parents, children
-
-
-def _linear_extensions(parents, children):
-    n = len(parents)
-    placed = [False] * n
-    waiting = [len(children[v]) for v in range(n)]  # unplaced children per vertex
-    order: list = []
-
-    def rec():
-        if len(order) == n:
-            yield tuple(order)
-            return
-        for v in range(n):
-            if not placed[v] and waiting[v] == 0:
-                placed[v] = True
-                order.append(v)
-                p = parents[v]
-                if p is not None:
-                    waiting[p] -= 1
-                yield from rec()
-                if p is not None:
-                    waiting[p] += 1
-                order.pop()
-                placed[v] = False
-
-    yield from rec()
-
-
-def _picture_key(order, parents, children):
-    level = {v: i for i, v in enumerate(order)}
-
-    def enc(v):
-        return (level[v], tuple(sorted(enc(c) for c in children[v])))
-
-    return tuple(sorted(enc(v) for v in range(len(parents)) if parents[v] is None))
+    return tuple(parents), tuple(map(tuple, children)), tuple(subtrees)
 
 
 def levelizations(f) -> list:
     """All levelizations of a forest, counted up to isomorphism.
 
     Two placements that differ by an automorphism of the forest are the same
-    levelization; one canonical representative of each is returned.  The
-    empty forest has no levelizations.
+    levelization; the lexicographically least ``order`` of each is returned,
+    in lexicographic order.  The empty forest has no levelizations.
+
+    One depth-first search over the linear extensions (vertices tried in
+    increasing id) places the levels top down, and at each step tries only
+    the first candidate of each orbit of the automorphisms that fix the
+    vertices already placed.  Those automorphisms fix every placed vertex,
+    since each sits on its own level, and so every ancestor of one.  Hence
+    a candidate with children is alone in its orbit.  For a childless
+    candidate u, let a be its topmost ancestor (u itself allowed) with
+    nothing placed below it: the parent of a is fixed, while the subtree of
+    a and its free siblings of the same shape may be moved freely.  The
+    orbit of u is therefore named by the parent of a and the shapes on the
+    path from u up to a.  The least extension of each class is never
+    pruned: were its choice at some step not the first of its orbit, an
+    automorphism fixing the prefix would map it to a smaller extension of
+    the same class.  No class is found twice: at the first step where two
+    isomorphic extensions differ, their prefixes agree, so the two choices
+    lie in one orbit of the prefix's stabilizer, and only one is tried.
     """
     forest = _as_forest(f)
-    if forest.nvertices == 0:
+    n = forest.nvertices
+    if n == 0:
         return []
-    parents, children = forest_structure(forest)
-    seen = set()
-    out = []
-    for order in _linear_extensions(parents, children):
-        key = _picture_key(order, parents, children)
-        if key not in seen:
-            seen.add(key)
+    parents, children, subtrees = _structure(forest)
+    ids: dict = {}
+    shape = [ids.setdefault(t, len(ids)) for t in subtrees]
+    waiting = [len(c) for c in children]  # unplaced children; -1 once placed
+    below = [0] * n  # placed vertices in the subtree of each vertex
+    order: list = []
+    out: list = []
+
+    def rec():
+        if len(order) == n:
             out.append(Levelization(forest, order))
+            return
+        tried = set()
+        for v in range(n):
+            if waiting[v]:
+                continue
+            if not children[v]:
+                a, path = v, [shape[v]]
+                while parents[a] is not None and not below[parents[a]]:
+                    a = parents[a]
+                    path.append(shape[a])
+                orbit = (parents[a], tuple(path))
+                if orbit in tried:
+                    continue
+                tried.add(orbit)
+            waiting[v] = -1
+            order.append(v)
+            p = parents[v]
+            if p is not None:
+                waiting[p] -= 1
+            w = v
+            while w is not None:
+                below[w] += 1
+                w = parents[w]
+            rec()
+            w = v
+            while w is not None:
+                below[w] -= 1
+                w = parents[w]
+            if p is not None:
+                waiting[p] += 1
+            order.pop()
+            waiting[v] = 0
+
+    rec()
     return out
 
 
@@ -293,9 +321,12 @@ def cm_weight(t: RootedTree) -> int:
         raise TypeError("cm_weight expects a RootedTree")
     extensions, sizes = math.factorial(t.nvertices), _subtree_size_product(t)
     le_count, rem = divmod(extensions, sizes)
-    assert rem == 0
-    n_t, rem = divmod(le_count, aut_order(t))
-    assert rem == 0
+    if rem:
+        raise InternalCheckError(f"cm_weight: {sizes} does not divide {extensions}")
+    aut = aut_order(t)
+    n_t, rem = divmod(le_count, aut)
+    if rem:
+        raise InternalCheckError(f"cm_weight: |Aut| = {aut} does not divide {le_count}")
     return n_t
 
 
@@ -311,9 +342,13 @@ def level_weight(lev: Levelization) -> Fraction:
     level and ground) count the strands crossing it -- an edge spans from the
     child's level down to the parent's level, a stem from its root's level to
     ground -- and multiply one over the strand count over all gaps.
+
+    The strands crossing the gap below a level are the edges and stems
+    leaving the vertices placed so far, less the edges among them; since
+    every child of a placed vertex is placed, walking ``lev.order`` top down
+    the count moves by ``1 - #children(v)`` at each vertex v.
     """
-    forest = _as_forest(lev.forest)
-    parents, _children = forest_structure(forest)
+    parents, children, _subtrees = _structure(_as_forest(lev.forest))
     n = len(parents)
     if sorted(lev.order) != list(range(n)):
         raise ValidationError("levelization order is not a permutation of the vertices")
@@ -321,14 +356,8 @@ def level_weight(lev: Levelization) -> Fraction:
     for v, p in enumerate(parents):
         if p is not None and level[v] >= level[p]:
             raise ValidationError(f"vertex {v} is not above its parent {p}")
-    weight = Fraction(1)
-    for gap in range(1, n + 1):
-        strands = 0
-        for v, p in enumerate(parents):
-            if p is None:
-                if level[v] <= gap:
-                    strands += 1
-            elif level[v] <= gap < level[p]:
-                strands += 1
-        weight /= strands
-    return weight
+    strands, product = 0, 1
+    for v in lev.order:
+        strands += 1 - len(children[v])
+        product *= strands
+    return Fraction(1, product)

@@ -39,7 +39,7 @@ from prelie.combination import add_into
 from prelie.errors import DomainError
 from prelie.linalg import GradedMap, GradedSpace
 from prelie.series import LabeledTree, TreeSeries, bracket
-from prelie.trees import aut_order, enumerate_trees
+from prelie.trees import Levelization, aut_order, enumerate_trees, forest_structure
 from prelie import multicomplex as mcx
 
 
@@ -438,11 +438,81 @@ def oracle_automorphisms(forest):
     return autos
 
 
+def _linear_extensions(parents, children):
+    """Every order of the vertices with each child before its parent, in
+    lexicographic order."""
+    n = len(parents)
+    placed = [False] * n
+    waiting = [len(children[v]) for v in range(n)]  # unplaced children per vertex
+    order: list = []
+
+    def rec():
+        if len(order) == n:
+            yield tuple(order)
+            return
+        for v in range(n):
+            if not placed[v] and waiting[v] == 0:
+                placed[v] = True
+                order.append(v)
+                p = parents[v]
+                if p is not None:
+                    waiting[p] -= 1
+                yield from rec()
+                if p is not None:
+                    waiting[p] += 1
+                order.pop()
+                placed[v] = False
+
+    yield from rec()
+
+
+def _picture_key(order, parents, children):
+    """An isomorphism invariant of a placement: each vertex as its level and
+    the sorted pictures of its children."""
+    level = {v: i for i, v in enumerate(order)}
+
+    def enc(v):
+        return (level[v], tuple(sorted(enc(c) for c in children[v])))
+
+    return tuple(sorted(enc(v) for v in range(len(parents)) if parents[v] is None))
+
+
+def levelizations_by_extensions(forest):
+    """Levelizations by walking every linear extension and keeping the first
+    of each picture key: the lexicographically least order of each class."""
+    parents, children = forest_structure(forest)
+    seen = set()
+    out = []
+    for order in _linear_extensions(parents, children):
+        key = _picture_key(order, parents, children)
+        if key not in seen:
+            seen.add(key)
+            out.append(Levelization(forest, order))
+    return out
+
+
+def level_weight_by_gaps(lev):
+    """The weight of a levelization by counting the strands across each gap
+    directly: one over the product of the counts."""
+    parents, _children = forest_structure(lev.forest)
+    n = len(parents)
+    level = {v: i + 1 for i, v in enumerate(lev.order)}
+    weight = Fraction(1)
+    for gap in range(1, n + 1):
+        strands = 0
+        for v, p in enumerate(parents):
+            if p is None:
+                if level[v] <= gap:
+                    strands += 1
+            elif level[v] <= gap < level[p]:
+                strands += 1
+        weight /= strands
+    return weight
+
+
 def oracle_levelization_orbits(forest):
     """Linear extensions (children before parents) grouped into orbits under
     the explicit automorphism action; independent of the library's keying."""
-    from prelie.trees import forest_structure, _linear_extensions
-
     parents, children = forest_structure(forest)
     autos = oracle_automorphisms(forest)
     orders = list(_linear_extensions(parents, children))

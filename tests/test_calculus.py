@@ -129,6 +129,40 @@ def test_graft_equals_pairwise_grafting(s, t):
     assert graft(t, s) == graft_by_pairs(t, s)
 
 
+@st.composite
+def tying_grafts(draw):
+    """A tree s and a tree t such that grafting t into s ties with siblings:
+    the children of s repeat, t is one of them, and the pool they come from
+    also holds each pool tree with t grafted at its root."""
+    pool = [draw(labeled_trees(draw(st.integers(1, 3)))) for _ in range(3)]
+    t = draw(st.sampled_from(pool))
+    pool += [LabeledTree(p.label, p.children + (t,)) for p in pool]
+    kids = draw(st.lists(st.sampled_from(pool), max_size=4))
+    return LabeledTree(draw(st.sampled_from("xy")), kids), t
+
+
+def _subtrees(tree):
+    yield tree
+    for child in tree.children:
+        yield from _subtrees(child)
+
+
+@BUDGET
+@given(tying_grafts())
+def test_grafted_trees_are_canonical(pair):
+    s, t = pair
+    order = s.nvertices + t.nvertices
+    product = graft(TreeSeries.from_tree(s, order), TreeSeries.from_tree(t, order))
+    assert sum(product.terms.values()) == s.nvertices  # one graft per vertex of s
+    for tree in product.terms:
+        for sub in _subtrees(tree):
+            rebuilt = LabeledTree(sub.label, sub.children)
+            assert sub.children == rebuilt.children
+            assert sub.key == rebuilt.key
+            assert hash(sub) == hash(rebuilt)
+            assert sub.nvertices == rebuilt.nvertices
+
+
 # -- convolution elements ---------------------------------------------------------
 
 

@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    level_weight_by_gaps,
+    levelizations_by_extensions,
     oracle_automorphisms,
     oracle_levelization_orbits,
     oracle_tree_shapes,
     tree_to_ahu,
 )
-from prelie.errors import BoundsError, ValidationError
+from prelie import trees
+from prelie.errors import BoundsError, InternalCheckError, ValidationError
 from prelie.trees import (
     Forest,
     Levelization,
@@ -117,14 +120,41 @@ def test_levelizations_count_up_to_isomorphism():
     # identical branches produce identical pictures: corollas have exactly one
     corolla2 = RootedTree([LEAF, LEAF])
     assert len(levelizations(corolla2)) == 1
-    for forest in enumerate_forests(5):
-        assert len(levelizations(forest)) == len(oracle_levelization_orbits(forest))
+    for n in range(1, 7):
+        for forest in enumerate_forests(n):
+            orders = [l.order for l in levelizations(forest)]
+            assert orders == oracle_levelization_orbits(forest)
+
+
+def test_levelizations_equal_the_extension_walk():
+    # orbit pruning keeps exactly the least extension of each class, in the
+    # order the full walk over linear extensions meets them
+    objs = [Forest([t]) for n in range(1, 9) for t in enumerate_trees(n)]
+    objs += [f for n in range(1, 8) for f in enumerate_forests(n)]
+    for f in objs:
+        levs, expected = levelizations(f), levelizations_by_extensions(f)
+        assert [l.order for l in levs] == [l.order for l in expected]
+        assert [level_weight(l) for l in levs] == [level_weight_by_gaps(l) for l in expected]
 
 
 def test_cm_weight_equals_levelization_count():
     for n in range(1, 7):
         for t in enumerate_trees(n):
             assert cm_weight(t) == len(levelizations(t))
+
+
+def test_cm_weight_reports_a_failed_division(monkeypatch):
+    # the divisions are checks that hold by theory; they must fail loudly,
+    # also under python -O
+    with monkeypatch.context() as m:
+        m.setattr(trees, "_subtree_size_product", lambda t: 5)
+        with pytest.raises(InternalCheckError):
+            cm_weight(T4)
+    with monkeypatch.context() as m:
+        m.setattr(trees, "aut_order", lambda t: 5)
+        with pytest.raises(InternalCheckError):
+            cm_weight(T4)
+    assert cm_weight(T4) == 3
 
 
 def test_cm_weight_sum_is_factorial():
