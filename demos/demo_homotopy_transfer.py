@@ -29,8 +29,8 @@ from prelie.ainf import (
     transfer,
     unit_element,
 )
-from prelie.calculus import tree_monomial
 from prelie.linalg import GradedMap, GradedSpace
+from prelie.series import eval_tree
 from prelie.trees import aut_order, enumerate_trees
 
 A = 5
@@ -63,14 +63,12 @@ habar = h_push(ConvElement(big, big, A, -1, {2: b2}), c)
 tree_sum = unit_element(big, A)
 for n in range(1, A + 1):
     for shape in enumerate_trees(n, max_vertices=A):
-        tree_sum = tree_sum + tree_monomial(shape, habar) * Fraction(1, aut_order(shape))
+        tree_sum = tree_sum + eval_tree(shape, {"*": habar}) * Fraction(1, aut_order(shape))
 print("\nPhi kernel arities:", sorted(phi.components),
       "(fixed point = tree sum with 1/|Aut t| coefficients:",
       phi == tree_sum, ")")
-print("Psi o Phi == Psi + Phi - 1:",
-      circle(psi, phi) == psi + phi - unit_element(big, A))
-
 result = transfer(alpha, c)
+print("Psi (o) i_inf == i_inf:", circle(psi, result.i_inf) == result.i_inf)
 print("\ntransfer identity report:")
 for name, ok in result.checks:
     print(f"  {name}: {'PASS' if ok else 'FAIL'}")

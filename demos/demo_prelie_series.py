@@ -36,9 +36,9 @@ print("\npre-Lie exponential of a single generator, truncated at 5 vertices:")
 e = exp(a)
 print(format_series(e))
 print("each coefficient is n_t / (number of vertices)! -- for example the")
-some = max(e.terms, key=lambda t: (t.nvertices, aut_order(t.shape())))
+some = max(e.terms, key=lambda t: (t.nvertices, aut_order(t)))
 print(
-    f"tree {some.to_text()} has n_t = {cm_weight(some.shape())} "
+    f"tree {some.to_text()} has n_t = {cm_weight(some)} "
     f"and coefficient {e.coefficient(some)}"
 )
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from prelie.trees import (
     Forest,
-    RootedTree,
+    LabeledTree,
     aut_order,
     cm_weight,
     enumerate_forests,
@@ -26,8 +26,8 @@ print("rooted trees by vertex count:")
 for n in range(1, 9):
     print(f"  {n} vertices: {len(enumerate_trees(n))} isomorphism classes")
 
-leaf = RootedTree()
-t4 = RootedTree([leaf, RootedTree([leaf])])
+leaf = LabeledTree("*")
+t4 = LabeledTree("*", [leaf, LabeledTree("*", [leaf])])
 print(f"\nthe 4-vertex tree {t4.to_text()} (a leaf and a 2-chain over the root):")
 print(f"  |Aut| = {aut_order(t4)}, Connes-Moscovici weight n_t = {cm_weight(t4)}")
 for lev in levelizations(t4):
@@ -36,7 +36,7 @@ total = sum(level_weight(lev) for lev in levelizations(t4))
 print(f"  sum of weights = {total} = 1/|Aut|")
 
 print("\nthe same identity on a forest (3-vertex tree next to a lone vertex):")
-forest = Forest([RootedTree([leaf, leaf]), leaf])
+forest = Forest([LabeledTree("*", [leaf, leaf]), leaf])
 weights = [level_weight(lev) for lev in levelizations(forest)]
 print(f"  |Aut| = {aut_order(forest)}, weights: {[str(w) for w in weights]}")
 print(f"  sum = {sum(weights)} = 1/{aut_order(forest)}")

@@ -3,7 +3,8 @@ and homotopy-associative structures with homotopy transfer.
 
 Subpackages and modules:
 
-- ``prelie.trees``        rooted-tree/forest enumeration, automorphisms,
+- ``prelie.trees``        labeled rooted trees (unlabeled trees carry the
+                          label ``*``): enumeration, automorphisms,
                           levelizations and their weights
 - ``prelie.series``       the free pre-Lie algebra on labeled trees:
                           grafting, braces, circle product, exp/Magnus,

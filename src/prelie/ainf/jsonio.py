@@ -12,11 +12,11 @@ the entry-list format of the multicomplex module.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import ValidationError
 from ..linalg import GradedSpace
 from ..multicomplex import (
+    json_coeff,
+    json_int,
     json_list,
     json_object,
     map_entries_from_list,
@@ -41,10 +41,12 @@ def multiop_to_dict(op: MultiOp) -> dict:
 
 def multiop_from_dict(data: dict, source: GradedSpace, target: GradedSpace) -> MultiOp:
     try:
-        op = MultiOp(source, target, int(data["arity"]), int(data["degree"]))
+        arity, degree = json_int(data["arity"], '"arity"'), json_int(data["degree"], '"degree"')
+        op = MultiOp(source, target, arity, degree)
         for ins, out, coeff in data.get("entries", ()):
-            key = (tuple(tuple(map(int, b)) for b in ins), tuple(map(int, out)))
-            op[key[0], key[1]] = op.entries.get(key, 0) + Fraction(coeff)
+            key = (tuple(tuple(json_int(x, "a basis key") for x in b) for b in ins),
+                   tuple(json_int(x, "a basis key") for x in out))
+            op[key[0], key[1]] = op.entries.get(key, 0) + json_coeff(coeff, "a coefficient")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad operation record: {exc}") from None
     return op
@@ -69,8 +71,8 @@ def element_from_dict(data: dict, source=None, target=None) -> ConvElement:
             target = (
                 space_from_dict(data["target_space"]) if "target_space" in data else source
             )
-        truncation = int(data["truncation"])
-        degree = int(data.get("degree", -1))
+        truncation = json_int(data["truncation"], '"truncation"')
+        degree = json_int(data.get("degree", -1), '"degree"')
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad element record: {exc}") from None
     components = {}

@@ -13,8 +13,8 @@ The functions here work on any element type exposing
 Tree series, convolution elements, and operator towers all satisfy this
 protocol, taking the arithmetic and ``is_zero`` from
 :class:`prelie.combination.Combination`, so the exponential, the
-Magnus-style logarithm, symmetric braces, tree monomials and circle-product
-inverses are implemented once.
+Magnus-style logarithm, symmetric braces and circle-product inverses are
+implemented once.
 
 The deformation vocabulary shared by operator towers and convolution
 elements lives here too: the Maurer-Cartan report and the trivializer
@@ -168,12 +168,6 @@ def symmetric_brace(a, args):
         nested[i] = head[i].star(last)
         out = out - symmetric_brace(a, nested)
     return out
-
-
-def tree_monomial(shape, value):
-    """Image of an unlabeled rooted tree under the pre-Lie morphism sending
-    the generator to ``value``: the root evaluates to {value; children...}."""
-    return symmetric_brace(value, [tree_monomial(c, value) for c in shape.children])
 
 
 def circle_inverse(g, circle):

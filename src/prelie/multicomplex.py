@@ -262,13 +262,29 @@ def json_list(value, where: str):
     return value
 
 
+def json_int(value, where: str) -> int:
+    """``value`` as an integer; a float (JSON ``2.9``, ``1e400``, ``Infinity``)
+    or a boolean is a ValidationError naming ``where``."""
+    if isinstance(value, (bool, float)):
+        raise ValidationError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def json_coeff(value, where: str) -> Fraction:
+    """``value`` as an exact rational, e.g. ``"-3/4"``; a float, inexact and
+    possibly infinite, or a boolean is a ValidationError naming ``where``."""
+    if isinstance(value, (bool, float)):
+        raise ValidationError(f"{where} must be an integer or a rational string, got {value!r}")
+    return Fraction(value)
+
+
 def space_to_dict(space: GradedSpace) -> dict:
     return {"dims": {str(deg): dim for deg, dim in space.dims.items()}}
 
 
 def space_from_dict(data: dict) -> GradedSpace:
     try:
-        dims = {int(deg): int(dim) for deg, dim in data["dims"].items()}
+        dims = {int(deg): json_int(dim, "a dimension") for deg, dim in data["dims"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad space description: {exc}") from None
     return GradedSpace(dims)
@@ -287,8 +303,8 @@ def map_entries_from_list(entries, source, target, degree) -> GradedMap:
     try:
         for row in entries:
             sdeg, sidx, tidx, coeff = row
-            key = (int(sdeg), int(sidx), int(tidx))
-            out[key] = out.entries.get(key, 0) + Fraction(coeff)
+            key = tuple(json_int(x, "a degree or index") for x in (sdeg, sidx, tidx))
+            out[key] = out.entries.get(key, 0) + json_coeff(coeff, "a coefficient")
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad operator entry {row!r}: {exc}") from None
     return out
@@ -315,7 +331,7 @@ def space_and_truncation(data, truncation=None):
     if truncation is None:
         truncation = data.get("truncation")
     try:
-        n = int(truncation)
+        n = json_int(truncation, '"truncation"')
     except (TypeError, ValueError):
         n = 0
     if n < 1:
@@ -334,7 +350,7 @@ def tower_from_dict(data: dict, offset: int = STRUCTURE, space=None, truncation=
     components = {}
     for op in json_list(data.get("operators", ()), '"operators"'):
         try:
-            weight = int(op["weight"])
+            weight = json_int(op["weight"], '"weight"')
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad operator record: {exc}") from None
         gmap = map_entries_from_list(

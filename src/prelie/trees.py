@@ -1,12 +1,14 @@
-"""Unlabeled rooted trees and forests with exact combinatorics.
+"""Rooted trees and forests with exact combinatorics.
 
-Trees are stored in a canonical form (children sorted by a recursive key),
-so isomorphic trees compare equal and hash equal.  On top of the raw
-enumeration the module computes automorphism group orders, levelizations
-(placements of the vertices on distinct horizontal levels with every child
-strictly above its parent, counted up to isomorphism), Connes-Moscovici
-weights, and the rational weight of a levelization used by the tree-sum
-formulas of the series modules.
+Every vertex carries a label, so a tree is a tree of the free pre-Lie algebra
+on its labels; unlabeled trees are labeled ``*``.  Trees are stored in a
+canonical form (children sorted by a recursive key), so trees isomorphic
+under a label-preserving bijection compare equal and hash equal.  On top of
+the enumeration of unlabeled trees the module computes automorphism group
+orders, levelizations (placements of the vertices on distinct horizontal
+levels with every child strictly above its parent, counted up to
+isomorphism), Connes-Moscovici weights, and the rational weight of a
+levelization used by the tree-sum formulas of the series modules.
 """
 
 from __future__ import annotations
@@ -14,34 +16,30 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
-from .errors import BoundsError, InternalCheckError, ValidationError
+from .errors import BoundsError, InternalCheckError, ParseError, ValidationError
 
 DEFAULT_MAX_VERTICES = 10
 
 
-class RootedTree:
-    """An unlabeled rooted tree: a canonically ordered multiset of subtrees.
+class LabeledTree:
+    """A rooted tree with generator labels, canonical under labeled isomorphism.
 
-    The empty tuple of children is the single-vertex tree.  Trees compare by
-    ``(vertex count, ordered child keys)``; two trees are isomorphic iff they
-    are equal.
+    Trees compare by ``(vertex count, label, ordered child keys)``.
     """
 
-    __slots__ = ("children", "nvertices", "key", "_hash")
+    __slots__ = ("label", "children", "nvertices", "key", "_hash")
 
-    def __init__(self, children=()):
+    def __init__(self, label: str, children=()):
         kids = tuple(sorted(children, key=lambda c: c.key))
-        object.__setattr__(self, "children", kids)
-        object.__setattr__(self, "nvertices", 1 + sum(c.nvertices for c in kids))
-        object.__setattr__(self, "key", (self.nvertices, tuple(c.key for c in kids)))
-        object.__setattr__(self, "_hash", hash(self.key))
+        _fill(self, label, kids, tuple(c.key for c in kids), 1 + sum(c.nvertices for c in kids))
 
     def __setattr__(self, name, value):
-        raise AttributeError("RootedTree is immutable")
+        raise AttributeError("LabeledTree is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, RootedTree) and self.key == other.key
+        return isinstance(other, LabeledTree) and self.key == other.key
 
     def __hash__(self):
         return self._hash
@@ -50,26 +48,77 @@ class RootedTree:
         return self.key < other.key
 
     def __repr__(self):
-        return f"RootedTree.from_text({self.to_text()!r})"
+        return f"LabeledTree.from_text({self.to_text()!r})"
 
-    @staticmethod
-    def leaf() -> "RootedTree":
-        return _LEAF
+    def relabel(self, label: str) -> "LabeledTree":
+        """Every vertex relabeled by the same symbol."""
+        return LabeledTree(label, (c.relabel(label) for c in self.children))
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``(* (*) (* (*)))`` for unlabeled trees."""
         if not self.children:
-            return "(*)"
-        return "(* " + " ".join(c.to_text() for c in self.children) + ")"
+            return f"({self.label})"
+        return f"({self.label} " + " ".join(c.to_text() for c in self.children) + ")"
 
     @staticmethod
-    def from_text(text: str) -> "RootedTree":
-        from .series import LabeledTree  # local import: parser lives with labels
+    def from_text(text: str) -> "LabeledTree":
+        tree, end = _parse_tree(text, 0)
+        if text[end:].strip():
+            raise ParseError("trailing input after tree", f"column {end + 1}")
+        if tree is None:
+            raise ParseError("the empty tree '()' is not a LabeledTree", "column 1")
+        return tree
 
-        return LabeledTree.from_text(text).shape()
+
+def _fill(tree, label, kids, kid_keys, nvertices, _set=object.__setattr__):
+    key = (nvertices, label, kid_keys)
+    _set(tree, "label", label)
+    _set(tree, "children", kids)
+    _set(tree, "nvertices", nvertices)
+    _set(tree, "key", key)
+    _set(tree, "_hash", hash(key))
+    return tree
 
 
-_LEAF = RootedTree()
+def _canonical_tree(label, kids, kid_keys, nvertices) -> LabeledTree:
+    """A tree from children already in canonical order, their keys and the
+    vertex count: nothing is sorted or recounted."""
+    return _fill(object.__new__(LabeledTree), label, kids, kid_keys, nvertices)
+
+
+def _parse_tree(text: str, pos: int):
+    """Parse one parenthesized tree starting at pos; returns (tree|None, end).
+
+    ``()`` parses to None (the unit marker).
+    """
+    n = len(text)
+    while pos < n and text[pos].isspace():
+        pos += 1
+    if pos >= n or text[pos] != "(":
+        raise ParseError("expected '('", f"column {pos + 1}")
+    pos += 1
+    while pos < n and text[pos].isspace():
+        pos += 1
+    if pos < n and text[pos] == ")":
+        return None, pos + 1
+    start = pos
+    while pos < n and not text[pos].isspace() and text[pos] not in "()":
+        pos += 1
+    label = text[start:pos]
+    if not label:
+        raise ParseError("expected a generator symbol", f"column {pos + 1}")
+    children = []
+    while True:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos >= n:
+            raise ParseError("unterminated tree", f"column {pos + 1}")
+        if text[pos] == ")":
+            return LabeledTree(label, children), pos + 1
+        child, pos = _parse_tree(text, pos)
+        if child is None:
+            raise ParseError("the unit '()' cannot appear as a subtree", f"column {pos}")
+        children.append(child)
 
 
 class Forest:
@@ -128,18 +177,18 @@ class Levelization:
 
 
 def _as_forest(f) -> Forest:
-    if isinstance(f, RootedTree):
+    if isinstance(f, LabeledTree):
         return Forest((f,))
     if isinstance(f, Forest):
         return f
-    raise TypeError(f"expected RootedTree or Forest, got {type(f).__name__}")
+    raise TypeError(f"expected LabeledTree or Forest, got {type(f).__name__}")
 
 
 @lru_cache(maxsize=None)
 def _trees(n: int):
     if n == 1:
-        return (_LEAF,)
-    return tuple(sorted((RootedTree(f) for f in _forest_tuples(n - 1)), key=lambda t: t.key))
+        return (LabeledTree("*"),)
+    return tuple(sorted((LabeledTree("*", f) for f in _forest_tuples(n - 1)), key=lambda t: t.key))
 
 
 @lru_cache(maxsize=None)
@@ -163,7 +212,7 @@ def _forest_tuples(m: int):
 
 
 def enumerate_trees(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> list:
-    """All isomorphism classes of rooted trees with exactly ``n`` vertices.
+    """All unlabeled (``*``-labeled) rooted trees with exactly ``n`` vertices.
 
     Deterministic order (sorted by canonical key), no duplicates.
     """
@@ -173,14 +222,14 @@ def enumerate_trees(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> list:
 
 
 def enumerate_forests(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> list:
-    """All nonempty forests with exactly ``n`` vertices, deterministic order."""
+    """All nonempty unlabeled forests with exactly ``n`` vertices, deterministic order."""
     if not 1 <= n <= max_vertices:
         raise BoundsError(f"vertex count must be in 1..{max_vertices}, got {n}")
     return [Forest(f) for f in _forest_tuples(n)]
 
 
 def aut_order(f) -> int:
-    """Order of the automorphism group of a tree or forest.
+    """Order of the label-preserving automorphism group of a tree or forest.
 
     For a forest this includes the factor permuting identical trees, so
     ``aut_order(Forest([t, t])) == 2 * aut_order(t) ** 2``.
@@ -191,14 +240,9 @@ def aut_order(f) -> int:
 
 def _aut_of_children(trees) -> int:
     result = 1
-    i = 0
-    while i < len(trees):
-        j = i
-        while j < len(trees) and trees[j] == trees[i]:
-            j += 1
-        mult = j - i
-        result *= math.factorial(mult) * _aut_of_children(trees[i].children) ** mult
-        i = j
+    for tree, copies in groupby(trees):  # equal trees are adjacent in canonical order
+        mult = sum(1 for _ in copies)
+        result *= math.factorial(mult) * _aut_of_children(tree.children) ** mult
     return result
 
 
@@ -249,9 +293,9 @@ def levelizations(f) -> list:
     a candidate with children is alone in its orbit.  For a childless
     candidate u, let a be its topmost ancestor (u itself allowed) with
     nothing placed below it: the parent of a is fixed, while the subtree of
-    a and its free siblings of the same shape may be moved freely.  The
-    orbit of u is therefore named by the parent of a and the shapes on the
-    path from u up to a.  The least extension of each class is never
+    a and its free siblings with the same labeled subtree may be moved
+    freely.  The orbit of u is therefore named by the parent of a and the
+    labeled subtrees on the path from u up to a.  The least extension of each class is never
     pruned: were its choice at some step not the first of its orbit, an
     automorphism fixing the prefix would map it to a smaller extension of
     the same class.  No class is found twice: at the first step where two
@@ -310,15 +354,16 @@ def levelizations(f) -> list:
     return out
 
 
-def cm_weight(t: RootedTree) -> int:
+def cm_weight(t: LabeledTree) -> int:
     """Connes-Moscovici weight: the number of levelizations of the tree.
 
     Computed in closed form as (number of linear extensions) / |Aut t|,
     where the extension count is nvertices! divided by the product of all
-    subtree sizes.
+    subtree sizes; Aut t acts freely on the extensions, since every vertex
+    sits on its own level.
     """
-    if not isinstance(t, RootedTree):
-        raise TypeError("cm_weight expects a RootedTree")
+    if not isinstance(t, LabeledTree):
+        raise TypeError("cm_weight expects a LabeledTree")
     extensions, sizes = math.factorial(t.nvertices), _subtree_size_product(t)
     le_count, rem = divmod(extensions, sizes)
     if rem:
@@ -330,7 +375,7 @@ def cm_weight(t: RootedTree) -> int:
     return n_t
 
 
-def _subtree_size_product(t: RootedTree) -> int:
+def _subtree_size_product(t: LabeledTree) -> int:
     return t.nvertices * math.prod(_subtree_size_product(c) for c in t.children)
 
 

@@ -38,7 +38,7 @@ from prelie.ainf.transfer import _abar, _phi, _psi, _r_operator
 from prelie.combination import add_into
 from prelie.errors import DomainError
 from prelie.linalg import GradedMap, GradedSpace
-from prelie.series import LabeledTree, TreeSeries, bracket
+from prelie.series import LabeledTree, TreeSeries, bracket, eval_tree
 from prelie.trees import Levelization, aut_order, enumerate_trees, forest_structure
 from prelie import multicomplex as mcx
 
@@ -415,17 +415,34 @@ def tree_to_ahu(tree):
     return "(" + "".join(sorted(tree_to_ahu(c) for c in tree.children)) + ")"
 
 
-def oracle_automorphisms(forest):
-    """All vertex bijections of a forest preserving roots and edges."""
-    from prelie.trees import forest_structure
+def _vertex_labels(forest):
+    """The label of each vertex, by the ids of ``forest_structure``: trees
+    in canonical order, each in preorder with children in canonical order."""
+    labels: list = []
 
+    def visit(tree):
+        labels.append(tree.label)
+        for child in tree.children:
+            visit(child)
+
+    for tree in forest.trees:
+        visit(tree)
+    return labels
+
+
+def oracle_automorphisms(forest):
+    """All vertex bijections of a forest preserving roots, edges and labels."""
     parents, _children = forest_structure(forest)
+    labels = _vertex_labels(forest)
     n = len(parents)
     autos = []
     for perm in itertools.permutations(range(n)):
         ok = True
         for v in range(n):
             pv = parents[v]
+            if labels[perm[v]] != labels[v]:
+                ok = False
+                break
             if pv is None:
                 if parents[perm[v]] is not None:
                     ok = False
@@ -778,14 +795,26 @@ def phi_kernel_by_inverse(alpha, c):
     return circle_inverse(unit_element(alpha.source, alpha.truncation) - habar)
 
 
+def tree_sum(mu, unit):
+    """``unit`` plus the sum over unlabeled rooted trees t of t(mu) / |Aut t|,
+    up to the truncation of ``unit``."""
+    out = unit
+    for n in range(1, unit.max_weight + 1):
+        for shape in enumerate_trees(n, max_vertices=unit.max_weight):
+            out = out + eval_tree(shape, {"*": mu}) * Fraction(1, aut_order(shape))
+    return out
+
+
+def grouplike_inverse_by_trees(g: TreeSeries) -> TreeSeries:
+    """Closed form  (1 - mu)^{(o) -1} = sum over rooted trees of t(mu) / |Aut t|."""
+    unit = g.unit_like()
+    return tree_sum(unit - g, unit)
+
+
 def phi_kernel_by_trees(alpha, c):
     """Closed form  Phi = sum over rooted trees of t(h abar) / |Aut t|."""
     habar = h_push(_abar(alpha, c), c)
-    phi = unit_element(alpha.source, alpha.truncation)
-    for n in range(1, phi.max_weight + 1):
-        for shape in enumerate_trees(n, max_vertices=phi.max_weight):
-            phi = phi + calculus.tree_monomial(shape, habar) * Fraction(1, aut_order(shape))
-    return phi
+    return tree_sum(habar, unit_element(alpha.source, alpha.truncation))
 
 
 def tech_r_check(alpha, c, xs=None) -> bool:

@@ -3,7 +3,9 @@
 ``calculus.magnus_series`` and ``calculus.circle_inverse`` are compared with
 the whole-series oracles ``helpers.magnus_by_exp`` and
 ``helpers.circle_inverse_by_resolve`` on tree series, convolution elements
-and operator towers, and ``series.graft`` with ``helpers.graft_by_pairs``.
+and operator towers, ``series.graft`` with ``helpers.graft_by_pairs``, and
+``series.grouplike_inverse`` with the closed tree sum
+``helpers.grouplike_inverse_by_trees``.
 The laws tying exponential, logarithm and the products together are checked
 exactly.
 """
@@ -17,6 +19,7 @@ from helpers import (
     acyclic_dga,
     circle_inverse_by_resolve,
     graft_by_pairs,
+    grouplike_inverse_by_trees,
     magnus_by_exp,
     massey_dga,
     random_contraction,
@@ -104,6 +107,14 @@ def test_circle_inverse_equals_resolve_on_tree_series(b):
     assert inv == circle_inverse_by_resolve(g, circle)
     assert circle(inv, g) == g.unit_like()
     assert grouplike_inverse(g) == inv
+
+
+@BUDGET
+@given(st.integers(1, 6).flatmap(lambda order: tree_series(order)))
+def test_grouplike_inverse_equals_tree_sum(b):
+    # (1 - mu)^{(o) -1} = sum over unlabeled trees t of t(mu) / |Aut t|
+    g = b.unit_like() + b
+    assert grouplike_inverse(g) == grouplike_inverse_by_trees(g)
 
 
 def test_exp_of_bch_is_circle_of_exps_at_order_seven():

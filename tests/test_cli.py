@@ -196,6 +196,90 @@ def test_malformed_nested_record_exit_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and message in err
 
 
+def _inexact_number_inputs():
+    """(verb, JSON text, message): a JSON number that is not an exact
+    integer or rational where one is read.  ``RAW`` marks the spot where the
+    number's literal text goes."""
+    tower = mcx.tower_to_dict(acyclic_tower())
+    structure = element_to_dict(massey_dga()[0])
+
+    def tower_with(edit):
+        data = json.loads(json.dumps(tower))
+        edit(data)
+        return data
+
+    def structure_with(edit):
+        data = json.loads(json.dumps(structure))
+        edit(data)
+        return data
+
+    def op_of(ops, key, value):
+        return next(op for op in ops if op[key] == value)
+
+    def set_coeff(ops, slot):
+        return lambda d: d[ops][0]["entries"][0].__setitem__(slot, "RAW")
+
+    mc, ainf_mc = ("multicomplex", "mc-check"), ("ainf", "mc-check")
+    cases = {
+        "tower-coeff-1e400": (mc, tower_with(set_coeff("operators", 3)), "1e400",
+                              "a coefficient must be an integer or a rational string"),
+        "ainf-coeff-Infinity": (ainf_mc, structure_with(set_coeff("operations", 2)), "Infinity",
+                                "a coefficient must be an integer or a rational string"),
+        "ainf-truncation-Infinity": (ainf_mc, structure_with(lambda d: d.update(truncation="RAW")),
+                                     "Infinity", '"truncation" must be an integer, got inf'),
+        "tower-coeff-0.1": (mc, tower_with(set_coeff("operators", 3)), "0.1",
+                            "a coefficient must be an integer or a rational string"),
+        "ainf-arity-2.9": (ainf_mc, structure_with(
+            lambda d: op_of(d["operations"], "arity", 2).update(arity="RAW")),
+            "2.9", '"arity" must be an integer, got 2.9'),
+        "tower-weight-1.5": (mc, tower_with(
+            lambda d: op_of(d["operators"], "weight", 1).update(weight="RAW")),
+            "1.5", '"weight" must be an integer, got 1.5'),
+        "tower-truncation-4.9": (mc, tower_with(lambda d: d.update(truncation="RAW")),
+                                 "4.9", "truncation must be a positive integer, got 4.9"),
+        "ainf-truncation-4.9": (ainf_mc, structure_with(lambda d: d.update(truncation="RAW")),
+                                "4.9", '"truncation" must be an integer, got 4.9'),
+        "tower-truncation-true": (mc, tower_with(lambda d: d.update(truncation="RAW")),
+                                  "true", "truncation must be a positive integer, got True"),
+    }
+    return {
+        name: (verb, json.dumps(data).replace('"RAW"', raw), message)
+        for name, (verb, data, raw, message) in cases.items()
+    }
+
+
+@pytest.mark.parametrize("case", list(_inexact_number_inputs()))
+def test_inexact_json_number_exit_2(tmp_path, capsys, case):
+    # floats, infinities and booleans were truncated by int(), made inexact
+    # by Fraction(float), or crashed with an OverflowError
+    verb, text, message = _inexact_number_inputs()[case]
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    code, out, err = run(capsys, *verb, str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_exact_json_numbers_as_strings_accepted(tmp_path, capsys):
+    # integer-valued strings and "p/q" coefficients read as before
+    data = mcx.tower_to_dict(acyclic_tower())
+    data["truncation"] = str(data["truncation"])
+    for op in data["operators"]:
+        op["weight"] = str(op["weight"])
+        for entry in op["entries"]:
+            entry[:3] = [str(x) for x in entry[:3]]
+            entry[3] = f"{2 * Fraction(entry[3])}/2"
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(data))
+    assert run(capsys, "multicomplex", "mc-check", str(f))[0] == 0
+    structure = element_to_dict(massey_dga()[0])
+    structure["truncation"] = str(structure["truncation"])
+    for op in structure["operations"]:
+        op["arity"], op["degree"] = str(op["arity"]), str(op["degree"])
+    f.write_text(json.dumps(structure))
+    assert run(capsys, "ainf", "mc-check", str(f))[0] == 0
+
+
 def test_multicomplex_trivialize(tmp_path, capsys):
     good_file = tmp_path / "good.json"
     good_file.write_text(json.dumps(mcx.tower_to_dict(acyclic_tower())))

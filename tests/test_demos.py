@@ -1,4 +1,9 @@
-"""Every demo script runs to completion, so its inline asserts hold."""
+"""Every demo script runs to completion, so its inline asserts hold, and
+prints exactly its committed output in ``tests/demo_output/<demo>.txt``.
+
+After an intended change to a demo's output, regenerate its file with
+``PYTHONPATH=src python demos/<demo>.py > tests/demo_output/<demo>.txt``.
+"""
 
 import os
 import subprocess
@@ -9,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_demos_found():
@@ -23,3 +29,4 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text(encoding="utf-8")

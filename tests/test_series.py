@@ -11,7 +11,6 @@ from prelie.errors import DomainError, ParseError, TruncationMismatch
 from prelie.series import (
     LabeledTree,
     TreeSeries,
-    aut_order_labeled,
     bch,
     brace,
     bracket,
@@ -24,7 +23,6 @@ from prelie.series import (
     grouplike_inverse,
     magnus,
     parse_series,
-    tree_monomial,
 )
 from prelie.trees import aut_order, cm_weight, enumerate_trees
 
@@ -176,7 +174,7 @@ def test_exp_coefficients_are_cm_weights():
     e = exp(gen("x"))
     seen_shapes = set()
     for tree, coeff in e.terms.items():
-        shape = tree.shape()
+        shape = tree.relabel("*")
         seen_shapes.add(shape)
         assert coeff == Fraction(cm_weight(shape), math.factorial(shape.nvertices))
     for n in range(1, N + 1):
@@ -232,10 +230,7 @@ def test_grouplike_inverse_tree_coefficients():
     assert circle(inv, one(5) - mu) == one(5)
     for n in range(1, 6):
         for shape in enumerate_trees(n):
-            labeled = LabeledTree("m", ())
-            from prelie.series import labeled_from_shape
-
-            labeled = labeled_from_shape(shape, "m")
+            labeled = shape.relabel("m")
             assert inv.coefficient(labeled) == Fraction(1, aut_order(shape))
 
 
@@ -317,18 +312,18 @@ def test_eval_tree():
 
 
 def test_tree_monomial_matches_eval():
+    # an unlabeled tree is the *-labeled tree: its monomial at mu is the
+    # evaluation of any relabeling with that label bound to mu
     mu = gen("m") + graft(gen("m"), gen("m"))
-    for shape in enumerate_trees(3):
-        from prelie.series import labeled_from_shape
-
-        labeled = labeled_from_shape(shape, "m")
-        assert tree_monomial(shape, mu) == eval_tree(labeled, {"m": mu})
+    for n in range(1, 5):
+        for shape in enumerate_trees(n):
+            assert eval_tree(shape, {"*": mu}) == eval_tree(shape.relabel("m"), {"m": mu})
 
 
 def test_aut_order_labeled():
-    assert aut_order_labeled(t("(a (b) (b))")) == 2
-    assert aut_order_labeled(t("(a (b) (c))")) == 1
-    assert aut_order_labeled(t("(a (b (c)) (b (c)))")) == 2
+    assert aut_order(t("(a (b) (b))")) == 2
+    assert aut_order(t("(a (b) (c))")) == 1
+    assert aut_order(t("(a (b (c)) (b (c)))")) == 2
 
 
 def test_text_round_trip():

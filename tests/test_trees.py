@@ -1,4 +1,8 @@
-"""Rooted-tree combinatorics against brute-force oracles."""
+"""Rooted-tree combinatorics against brute-force oracles.
+
+Unlabeled trees are the trees labeled ``*``; the same functions count the
+label-preserving automorphisms and levelizations of labeled trees.
+"""
 
 import math
 import random
@@ -12,14 +16,15 @@ from helpers import (
     oracle_automorphisms,
     oracle_levelization_orbits,
     oracle_tree_shapes,
+    random_labeled_tree,
     tree_to_ahu,
 )
 from prelie import trees
 from prelie.errors import BoundsError, InternalCheckError, ValidationError
 from prelie.trees import (
     Forest,
+    LabeledTree,
     Levelization,
-    RootedTree,
     aut_order,
     cm_weight,
     enumerate_forests,
@@ -28,11 +33,17 @@ from prelie.trees import (
     level_weight,
 )
 
-LEAF = RootedTree()
-CHAIN2 = RootedTree([LEAF])
+
+
+def node(*children):
+    return LabeledTree("*", children)
+
+
+LEAF = node()
+CHAIN2 = node(LEAF)
 # root with a leaf child and a 2-chain child; the smallest tree whose
 # levelizations are not all forced
-T4 = RootedTree([LEAF, CHAIN2])
+T4 = node(LEAF, CHAIN2)
 
 
 def test_single_vertex():
@@ -75,7 +86,7 @@ def test_canonical_form_is_relabeling_invariant():
         def build(v, order):
             kids = children[v][:]
             order.shuffle(kids)
-            return RootedTree([build(c, order) for c in kids])
+            return node(*(build(c, order) for c in kids))
 
         t1 = build(0, random.Random(rng.random()))
         t2 = build(0, random.Random(rng.random()))
@@ -88,7 +99,7 @@ def test_aut_order_against_bijection_oracle():
     pool = [t for n in range(1, 6) for t in enumerate_trees(n)]
     for t in pool:
         assert aut_order(t) == len(oracle_automorphisms(Forest([t])))
-    corolla3 = RootedTree([LEAF, LEAF, LEAF])
+    corolla3 = node(LEAF, LEAF, LEAF)
     assert aut_order(corolla3) == 6
     assert aut_order(T4) == 1
 
@@ -109,7 +120,7 @@ def test_levelizations_of_the_four_vertex_tree():
 def test_levelizations_chain_and_empty():
     chain5 = LEAF
     for _ in range(4):
-        chain5 = RootedTree([chain5])
+        chain5 = node(chain5)
     levs = levelizations(chain5)
     assert len(levs) == 1
     assert level_weight(levs[0]) == 1
@@ -118,7 +129,7 @@ def test_levelizations_chain_and_empty():
 
 def test_levelizations_count_up_to_isomorphism():
     # identical branches produce identical pictures: corollas have exactly one
-    corolla2 = RootedTree([LEAF, LEAF])
+    corolla2 = node(LEAF, LEAF)
     assert len(levelizations(corolla2)) == 1
     for n in range(1, 7):
         for forest in enumerate_forests(n):
@@ -166,7 +177,7 @@ def test_cm_weight_sum_is_factorial():
 def test_level_weight_examples():
     # the two-tree forest: 3-vertex tree levelized around a lone vertex on
     # the second level gives 1 * 1/2 * 1/3 * 1/2 = 1/12
-    t3 = RootedTree([LEAF, LEAF])
+    t3 = node(LEAF, LEAF)
     forest = Forest([t3, LEAF])
     target = Fraction(1, 12)
     assert target in {level_weight(l) for l in levelizations(forest)}
@@ -182,8 +193,8 @@ def test_level_weight_validation():
 def test_text_encoding_round_trip():
     for n in range(1, 6):
         for t in enumerate_trees(n):
-            assert RootedTree.from_text(t.to_text()) == t
-    assert RootedTree.from_text("(* (*) (* (*)))") == T4
+            assert LabeledTree.from_text(t.to_text()) == t
+    assert LabeledTree.from_text("(* (*) (* (*)))") == T4
 
 
 def test_levelization_weight_sum_small_forests():
@@ -191,3 +202,38 @@ def test_levelization_weight_sum_small_forests():
         for forest in enumerate_forests(n):
             total = sum(level_weight(l) for l in levelizations(forest))
             assert total == Fraction(1, aut_order(forest))
+
+
+def _random_labeled_forests(seed, count, max_vertices):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        ntrees = rng.choice([1, 1, 2, 3])
+        sizes = [rng.randint(1, max_vertices // ntrees) for _ in range(ntrees)]
+        out.append(Forest([random_labeled_tree("ab", n, rng) for n in sizes]))
+    return out
+
+
+def test_labeled_trees_against_the_automorphism_oracle():
+    # levelizations are counted up to label-preserving automorphisms: the
+    # library's orbit pruning against orbits of the brute-force group
+    for forest in _random_labeled_forests(2, 200, 7):
+        autos = oracle_automorphisms(forest)
+        levs = levelizations(forest)
+        assert aut_order(forest) == len(autos)
+        assert [l.order for l in levs] == oracle_levelization_orbits(forest)
+        assert [level_weight(l) for l in levs] == [level_weight_by_gaps(l) for l in levs]
+        assert sum(level_weight(l) for l in levs) == Fraction(1, len(autos))
+        if len(forest) == 1:
+            assert cm_weight(forest.trees[0]) == len(levs)
+
+
+def test_labels_break_symmetry():
+    a, b = LabeledTree("a"), LabeledTree("b")
+    mixed = LabeledTree("r", [a, b])
+    assert aut_order(mixed) == 1
+    assert len(levelizations(mixed)) == 2 == cm_weight(mixed)
+    assert aut_order(mixed.relabel("*")) == 2
+    assert len(levelizations(mixed.relabel("*"))) == 1 == cm_weight(mixed.relabel("*"))
+    assert aut_order(Forest([a, b])) == 1
+    assert aut_order(Forest([a, a])) == 2
