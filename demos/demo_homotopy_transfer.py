@@ -24,6 +24,7 @@ from prelie.ainf import (
     h_push,
     is_gauge_trivial,
     mc_check,
+    multiop_to_dict,
     phi_kernel,
     psi_kernel,
     transfer,
@@ -74,11 +75,11 @@ for name, ok in result.checks:
     print(f"  {name}: {'PASS' if ok else 'FAIL'}")
 
 b3 = result.beta.component(3)
-print("\ntransferred arity-3 operation on ([x],[y],[z]):", dict(b3.entries))
+print("\ntransferred arity-3 operation on ([x],[y],[z]):", multiop_to_dict(b3)["entries"])
 print("gauge trivial:", is_gauge_trivial(alpha, c))
 attempt = find_trivializer(alpha)
 print(f"stage-wise trivializer search fails at arity {attempt.stage} "
-      f"with residual {dict(attempt.residual.entries)}")
+      f"with residual {multiop_to_dict(attempt.residual)['entries']}")
 
 # contrast: same shape of algebra but with the Massey product disarmed
 b2f = MultiOp(big, big, 2, -1)

@@ -50,4 +50,5 @@ o1[0, 0, 0] = 1
 obstructed = mcx.structure_tower(W, 4, {1: o1})
 result = mcx.trivialize(obstructed)
 print("\nnontrivial-homology fixture: trivializer found:", result.found)
-print(f"  obstruction at weight {result.stage}, residual {result.residual!r}")
+print(f"  obstruction at weight {result.stage}, "
+      f"residual {mcx.map_entries_to_list(result.residual)}")

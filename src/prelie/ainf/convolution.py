@@ -9,8 +9,10 @@ graded inputs inside a partial composition or a tensor of maps.
 
 ``star`` is the insertion (pre-Lie) product; ``circle`` is the associative
 composition product defined on group-like elements (and extended verbatim to
-arbitrary operands).  Maurer-Cartan checking, the infinity-morphism
-equation, and the gauge action are built from the two products.
+arbitrary operands).  Each is one pass over the entries of its left factor
+that reads the right factor from one table keyed by output vector.
+Maurer-Cartan checking, the infinity-morphism equation, and the gauge action
+are built from the two products.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from .. import calculus
 from ..combination import Combination, add_into, put
 from ..errors import BoundsError, DomainError, ShapeError
 from ..linalg import GradedMap, GradedSpace
-
-DEFAULT_TRUNCATION_ARITY = 5
-
 
 class MultiOp(Combination):
     """Sparse multilinear map  source^{tensor n} -> target  of fixed degree.
@@ -106,9 +105,7 @@ def compose_at(f: MultiOp, g: MultiOp, j: int) -> MultiOp:
     )
     if f.arity > 1 and g.source != f.source:
         raise ShapeError("mixed-space insertion needs an arity-1 outer map")
-    by_output: dict = {}
-    for (gins, gout), gc in g.entries.items():
-        by_output.setdefault(gout, []).append((gins, gc))
+    by_output = _by_output([g])
     odd = g.degree % 2
     for (fins, fout), fc in f.entries.items():
         slot = fins[j - 1]
@@ -121,51 +118,14 @@ def compose_at(f: MultiOp, g: MultiOp, j: int) -> MultiOp:
     return out
 
 
-def _compose_tensor(f: MultiOp, factors) -> MultiOp:
-    """Full composite  f o (g_1 x ... x g_k)  with Koszul signs.
-
-    ``factors`` has length f.arity; factor m picks up the sign
-    (-1)^(|g_m| * (sum of raw input degrees of the blocks before it)).
-    """
-    if len(factors) != f.arity:
-        raise ShapeError("need one factor per input slot")
-    source = factors[0].source
-    for g in factors:
-        if g.source != source:
-            raise ShapeError("tensor factors start on different spaces")
-        if g.target != f.source:
-            raise ShapeError("tensor factors do not land in the outer source")
-    out = MultiOp(
-        source,
-        f.target,
-        sum(g.arity for g in factors),
-        f.degree + sum(g.degree for g in factors),
-    )
-    by_output = []
-    for g in factors:
-        table: dict = {}
-        for (gins, gout), gc in g.entries.items():
-            table.setdefault(gout, []).append((gins, gc))
-        by_output.append(table)
-
-    def expand(slot, ins_acc, coeff, parity):
-        if slot == f.arity:
-            add_into(out.entries, (ins_acc, current_out), coeff)
-            return
-        for gins, gc in by_output[slot].get(current_ins[slot], ()):
-            sign = -1 if (factors[slot].degree % 2) and parity % 2 else 1
-            expand(
-                slot + 1,
-                ins_acc + gins,
-                coeff * gc * sign,
-                parity + sum(b[0] for b in gins),
-            )
-
-    for (fins, fout), fc in f.entries.items():
-        current_ins = fins
-        current_out = fout
-        expand(0, (), fc, 0)
-    return out
+def _by_output(ops) -> dict:
+    """Output basis vector -> [(inputs, coeff)] over the entries of ``ops``,
+    in their order."""
+    table: dict = {}
+    for op in ops:
+        for (ins, out), coeff in op.entries.items():
+            table.setdefault(out, []).append((ins, coeff))
+    return table
 
 
 class ConvElement(Combination):
@@ -261,7 +221,9 @@ def star(f: ConvElement, g: ConvElement) -> ConvElement:
     """Insertion product  (f * g)_n = sum over slots of f_k o_j g_l.
 
     Right-symmetric associator (pre-Lie); the unit is a left unit only.
-    ``g`` must be an endomorphism-type element of f's source.
+    ``g`` must be an endomorphism-type element of f's source.  Each input
+    slot of each entry of f reads the entries of g with that output from one
+    table, fewest inputs first, with the Koszul sign of :func:`compose_at`.
     """
     if not isinstance(g, ConvElement):
         raise TypeError(f"expected ConvElement, got {type(g).__name__}")
@@ -269,14 +231,22 @@ def star(f: ConvElement, g: ConvElement) -> ConvElement:
         raise ShapeError("star inserts an endomorphism element of f's source")
     if f.truncation != g.truncation:
         raise ShapeError("elements have different truncation arities")
-    out = ConvElement(f.source, f.target, f.truncation, f.degree + g.degree)
+    table = _by_output(g.components[a] for a in sorted(g.components))
+    odd = g.degree % 2
+    acc: dict = {}  # arity -> {(inputs, output): coefficient}
     for k, fk in f.components.items():
-        for l, gl in g.components.items():
-            n = k + l - 1
-            if n > f.truncation:
-                continue
-            for j in range(1, k + 1):
-                add_into(out.components, n, compose_at(fk, gl, j))
+        for (fins, fout), fc in fk.entries.items():
+            parity = 0
+            for j, b in enumerate(fins):
+                sign = -1 if odd and parity else 1
+                for gins, gc in table.get(b, ()):
+                    if k + len(gins) - 1 > f.truncation:
+                        break
+                    ins = fins[:j] + gins + fins[j + 1:]
+                    add_into(acc.setdefault(len(ins), {}), (ins, fout), sign * fc * gc)
+                parity ^= b[0] & 1
+    out = ConvElement(f.source, f.target, f.truncation, f.degree + g.degree)
+    out.components = {n: out.component(n)._like(e) for n, e in sorted(acc.items()) if e}
     return out
 
 
@@ -284,8 +254,12 @@ def circle(f: ConvElement, g: ConvElement) -> ConvElement:
     """Composition product  (f (o) g)_n = sum f_k o (g_{i_1} x .. x g_{i_k}).
 
     Associative and unital on group-like elements; defined by the same
-    formula for arbitrary f.  The right factor must have degree 0 so the
-    result stays degree-homogeneous.
+    formula for arbitrary f.  Each entry of f is expanded slot by slot from
+    one table of g's entries by output, keeping the input tuples that leave
+    one input for each later slot within the truncation.  The right factor
+    must have degree 0 unless f is pure postcomposition (arity 1 only), so
+    no Koszul sign arises: a degree-0 g passes every input freely, and an
+    odd g fills the one slot of an arity-1 f, with no input before it.
     """
     if not isinstance(g, ConvElement):
         raise TypeError(f"expected ConvElement, got {type(g).__name__}")
@@ -294,28 +268,20 @@ def circle(f: ConvElement, g: ConvElement) -> ConvElement:
     if f.truncation != g.truncation:
         raise ShapeError("elements have different truncation arities")
     if g.degree != 0 and any(a != 1 for a in f.components):
-        # One inhomogeneous factor is fine when f is pure postcomposition.
         raise DomainError("right factor of the circle product must have degree 0")
-    out_degree = f.degree + (g.degree if g.degree != 0 else 0)
-    out = ConvElement(g.source, f.target, f.truncation, out_degree)
+    table = _by_output(g.components[a] for a in sorted(g.components))
+    acc: dict = {}  # arity -> {(inputs, output): coefficient}
     for k, fk in f.components.items():
-        for split in _compositions(k, f.truncation):
-            factors = [g.components.get(i) for i in split]
-            if any(op is None for op in factors):
-                continue
-            term = _compose_tensor(fk, factors)
-            add_into(out.components, term.arity, term)
-    return out
-
-
-def _compositions(k: int, total_max: int):
-    """All tuples (i_1..i_k) of positive integers with sum <= total_max."""
-    if k == 1:
-        return [(i,) for i in range(1, total_max + 1)]
-    out = []
-    for first in range(1, total_max - k + 2):
-        for rest in _compositions(k - 1, total_max - first):
-            out.append((first,) + rest)
+        for (fins, fout), fc in fk.entries.items():
+            partial = [((), fc)]
+            for slot, b in enumerate(fins):
+                room = f.truncation - (k - 1 - slot)
+                partial = [(ins + gins, c * gc) for ins, c in partial
+                           for gins, gc in table.get(b, ()) if len(ins) + len(gins) <= room]
+            for ins, c in partial:
+                add_into(acc.setdefault(len(ins), {}), (ins, fout), c)
+    out = ConvElement(g.source, f.target, f.truncation, f.degree + g.degree)
+    out.components = {n: out.component(n)._like(e) for n, e in sorted(acc.items()) if e}
     return out
 
 

@@ -243,11 +243,10 @@ def h_push(abar: ConvElement, c: Contraction) -> ConvElement:
 
 
 def _phi(abar: ConvElement, c: Contraction) -> ConvElement:
-    habar = h_push(abar, c)
-    phi = unit_element(abar.source, abar.truncation)
-    for n in range(1, phi.max_weight + 1):
-        phi = phi + circle(habar, phi).weight_component(n)
-    return phi
+    """Phi = 1 + (h abar) (o) Phi  says  (1 - h abar) (o) Phi = 1, as the
+    circle product is linear in its left factor; group-like elements form a
+    group under (o), so Phi is the circle inverse of 1 - h abar."""
+    return circle_inverse(unit_element(abar.source, abar.truncation) - h_push(abar, c))
 
 
 def _psi(abar: ConvElement, c: Contraction) -> ConvElement:

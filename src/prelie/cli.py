@@ -329,11 +329,11 @@ def _cmd_ainf_gauge(args) -> int:
     alpha = ainf.element_from_dict({"truncation": n, "degree": -1, **structure}, source=space)
     lam = ainf.element_from_dict({"truncation": n, "degree": 0, **gauge}, source=space)
     result = ainf.gauge_act(lam, alpha)
-    payload = ainf.element_to_dict(result)
-    payload["maurer_cartan_preserved"] = ainf.mc_check(result).ok
+    record = ainf.element_to_dict(result)
+    payload = {**record, "maurer_cartan_preserved": ainf.mc_check(result).ok}
     lines = [
         f"maurer-cartan preserved: {'PASS' if payload['maurer_cartan_preserved'] else 'FAIL'}",
-        json.dumps(ainf.element_to_dict(result)),
+        json.dumps(record),
     ]
     _emit_payload(args, payload, lines)
     return 0

@@ -5,6 +5,7 @@ operator towers and convolution elements all store a finite combination as
 one dict of non-zero values keyed by basis elements.  The values are
 ``Fraction`` coefficients, or, for the towers and convolution elements,
 combinations themselves (one graded map or multilinear operation per weight).
+The JSON readers and the series text format read numbers by :func:`parse_number`.
 :class:`Combination` gives all of them the vector-space operations, and
 :func:`add_into` is the accumulation step of every product loop.
 """
@@ -13,7 +14,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ShapeError
+from .errors import ShapeError, ValidationError
+
+
+def parse_number(value, kind, where: str):
+    """``kind(value)`` for ``kind`` int or Fraction, refusing the digit-group
+    underscores ("1_0") that Python's number parsers accept; the refusal is a
+    ValidationError naming ``where``."""
+    if isinstance(value, str) and "_" in value:
+        raise ValidationError(f"{where} must not group digits with '_', got {value!r}")
+    return kind(value)
 
 
 def put(acc: dict, key, value) -> None:

@@ -40,10 +40,6 @@ class GradedSpace:
     def dim(self, degree: int) -> int:
         return self.dims.get(degree, 0)
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def basis(self):
         """All basis labels ``(degree, index)`` in deterministic order."""
         return [(deg, i) for deg, dim in self.dims.items() for i in range(dim)]

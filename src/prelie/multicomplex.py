@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import calculus
-from .combination import Combination, add_into
+from .combination import Combination, add_into, parse_number
 from .errors import DomainError, InternalCheckError, ShapeError, ValidationError
 from .linalg import GradedMap, GradedSpace, solve_stage
 
@@ -263,19 +263,20 @@ def json_list(value, where: str):
 
 
 def json_int(value, where: str) -> int:
-    """``value`` as an integer; a float (JSON ``2.9``, ``1e400``, ``Infinity``)
-    or a boolean is a ValidationError naming ``where``."""
+    """``value`` as an integer; a float (JSON ``2.9``, ``1e400``, ``Infinity``),
+    a boolean or a string with ``_`` is a ValidationError naming ``where``."""
     if isinstance(value, (bool, float)):
         raise ValidationError(f"{where} must be an integer, got {value!r}")
-    return int(value)
+    return parse_number(value, int, where)
 
 
 def json_coeff(value, where: str) -> Fraction:
     """``value`` as an exact rational, e.g. ``"-3/4"``; a float, inexact and
-    possibly infinite, or a boolean is a ValidationError naming ``where``."""
+    possibly infinite, a boolean or a string with ``_`` is a ValidationError
+    naming ``where``."""
     if isinstance(value, (bool, float)):
         raise ValidationError(f"{where} must be an integer or a rational string, got {value!r}")
-    return Fraction(value)
+    return parse_number(value, Fraction, where)
 
 
 def space_to_dict(space: GradedSpace) -> dict:
@@ -284,7 +285,7 @@ def space_to_dict(space: GradedSpace) -> dict:
 
 def space_from_dict(data: dict) -> GradedSpace:
     try:
-        dims = {int(deg): json_int(dim, "a dimension") for deg, dim in data["dims"].items()}
+        dims = {json_int(d, "a degree"): json_int(n, "a dimension") for d, n in data["dims"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad space description: {exc}") from None
     return GradedSpace(dims)

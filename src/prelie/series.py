@@ -19,7 +19,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from . import calculus
-from .combination import Combination, add_into
+from .combination import Combination, add_into, parse_number
 from .errors import DomainError, ParseError, TruncationMismatch
 from .trees import LabeledTree, _canonical_tree, _parse_tree
 
@@ -342,7 +342,7 @@ def parse_series(text: str, order: int) -> TreeSeries:
         if len(fields) != 2:
             raise ParseError("expected '<rational> <tree>'", f"line {lineno}")
         try:
-            coeff = Fraction(fields[0])
+            coeff = parse_number(fields[0], Fraction, "a coefficient")
         except (ValueError, ZeroDivisionError):
             raise ParseError(
                 f"bad rational coefficient {fields[0]!r}", f"line {lineno}"

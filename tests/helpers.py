@@ -28,7 +28,7 @@ from prelie.ainf import (
     MultiOp,
     TensorOperator,
     circle,
-    circle_inverse,
+    compose_at,
     element_from_map,
     h_push,
     star,
@@ -36,7 +36,7 @@ from prelie.ainf import (
 )
 from prelie.ainf.transfer import _abar, _phi, _psi, _r_operator
 from prelie.combination import add_into
-from prelie.errors import DomainError
+from prelie.errors import DomainError, ShapeError
 from prelie.linalg import GradedMap, GradedSpace
 from prelie.series import LabeledTree, TreeSeries, bracket, eval_tree
 from prelie.trees import Levelization, aut_order, enumerate_trees, forest_structure
@@ -708,8 +708,6 @@ def solve_sparse_by_scan(rows, rhs, nvars):
 def stage_operator(fn, d_op):
     """sum_j fn o_j d  -  d o fn: the map each ``find_trivializer`` stage
     solves, applied to one operation by partial compositions."""
-    from prelie.ainf import compose_at
-
     acc = compose_at(d_op, fn, 1) * -1
     for j in range(1, fn.arity + 1):
         acc = acc + compose_at(fn, d_op, j)
@@ -719,6 +717,95 @@ def stage_operator(fn, d_op):
 def commutator(fn, d):
     """fn d - d fn: the map each multicomplex ``trivialize`` stage solves."""
     return fn.compose(d) - d.compose(fn)
+
+
+# -- convolution product oracles: the routes the one-pass products replaced -----------
+
+
+def star_by_slots(f: ConvElement, g: ConvElement) -> ConvElement:
+    """Insertion product as the sum of f_k o_j g_l over arities and slots,
+    one :func:`compose_at` call each."""
+    out = ConvElement(f.source, f.target, f.truncation, f.degree + g.degree)
+    for k, fk in f.components.items():
+        for l, gl in g.components.items():
+            if k + l - 1 > f.truncation:
+                continue
+            for j in range(1, k + 1):
+                add_into(out.components, k + l - 1, compose_at(fk, gl, j))
+    return out
+
+
+def _compose_tensor(f: MultiOp, factors) -> MultiOp:
+    """Full composite  f o (g_1 x ... x g_k)  with Koszul signs.
+
+    ``factors`` has length f.arity; factor m picks up the sign
+    (-1)^(|g_m| * (sum of raw input degrees of the blocks before it)).
+    """
+    if len(factors) != f.arity:
+        raise ShapeError("need one factor per input slot")
+    source = factors[0].source
+    for g in factors:
+        if g.source != source:
+            raise ShapeError("tensor factors start on different spaces")
+        if g.target != f.source:
+            raise ShapeError("tensor factors do not land in the outer source")
+    out = MultiOp(
+        source,
+        f.target,
+        sum(g.arity for g in factors),
+        f.degree + sum(g.degree for g in factors),
+    )
+    by_output = []
+    for g in factors:
+        table: dict = {}
+        for (gins, gout), gc in g.entries.items():
+            table.setdefault(gout, []).append((gins, gc))
+        by_output.append(table)
+
+    def expand(slot, ins_acc, coeff, parity):
+        if slot == f.arity:
+            add_into(out.entries, (ins_acc, current_out), coeff)
+            return
+        for gins, gc in by_output[slot].get(current_ins[slot], ()):
+            sign = -1 if (factors[slot].degree % 2) and parity % 2 else 1
+            expand(
+                slot + 1,
+                ins_acc + gins,
+                coeff * gc * sign,
+                parity + sum(b[0] for b in gins),
+            )
+
+    for (fins, fout), fc in f.entries.items():
+        current_ins = fins
+        current_out = fout
+        expand(0, (), fc, 0)
+    return out
+
+
+def _compositions(k: int, total_max: int):
+    """All tuples (i_1..i_k) of positive integers with sum <= total_max."""
+    if k == 1:
+        return [(i,) for i in range(1, total_max + 1)]
+    out = []
+    for first in range(1, total_max - k + 2):
+        for rest in _compositions(k - 1, total_max - first):
+            out.append((first,) + rest)
+    return out
+
+
+def circle_by_splits(f: ConvElement, g: ConvElement) -> ConvElement:
+    """Circle product as a sum over every composition (i_1..i_k) of each
+    arity: one full composite  f_k o (g_{i_1} x .. x g_{i_k})  per split,
+    with the Koszul signs of a general tensor of maps."""
+    out = ConvElement(g.source, f.target, f.truncation, f.degree + g.degree)
+    for k, fk in f.components.items():
+        for split in _compositions(k, f.truncation):
+            factors = [g.components.get(i) for i in split]
+            if any(op is None for op in factors):
+                continue
+            term = _compose_tensor(fk, factors)
+            add_into(out.components, term.arity, term)
+    return out
 
 
 # -- homotopy transfer oracles -------------------------------------------------------
@@ -789,10 +876,14 @@ def h_star_by_sym_homotopy(y: ConvElement, c: Contraction) -> ConvElement:
     return out
 
 
-def phi_kernel_by_inverse(alpha, c):
-    """Closed form  Phi = (1 - h abar)^{(o) -1}."""
+def phi_kernel_by_fixed_point(alpha, c):
+    """Phi solved weight by weight from  Phi = 1 + (h abar) (o) Phi, composing
+    h abar with the whole current Phi at every weight."""
     habar = h_push(_abar(alpha, c), c)
-    return circle_inverse(unit_element(alpha.source, alpha.truncation) - habar)
+    phi = unit_element(alpha.source, alpha.truncation)
+    for n in range(1, phi.max_weight + 1):
+        phi = phi + circle(habar, phi).weight_component(n)
+    return phi
 
 
 def tree_sum(mu, unit):

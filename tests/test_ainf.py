@@ -3,16 +3,21 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
+    COEFF_CHOICES,
     acyclic_dga,
     circle_by_braces,
+    circle_by_splits,
+    formal_dga,
     line_dga,
     massey_dga,
     random_conv_element,
     random_gauge_element,
     random_grouplike,
     random_multi_op,
+    star_by_slots,
 )
 from prelie import calculus
 from prelie.ainf import (
@@ -25,6 +30,8 @@ from prelie.ainf import (
     gauge_act,
     inf_morphism_check,
     mc_check,
+    phi_kernel,
+    psi_kernel,
     star,
     unit_element,
 )
@@ -164,6 +171,83 @@ def test_circle_inverse():
         inv = circle_inverse(g)
         assert circle(inv, g) == one
         assert circle(g, inv) == one
+
+
+# spaces for the product oracles: degree-0 vectors keep long input tuples in
+# range, so that high arities have entries
+ORACLE_SPACES = [SPACE, GradedSpace({0: 1, 1: 2}), GradedSpace({-1: 1, 0: 1})]
+ORACLE_BUDGET = settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def conv_elements(draw, source, target, truncation, degree, arities):
+    """An element with up to four random entries in each of ``arities``; an
+    entry whose output degree the target lacks is skipped."""
+    elt = ConvElement(source, target, truncation, degree)
+    for n in arities:
+        op = MultiOp(source, target, n, degree)
+        for _ in range(draw(st.integers(0, 4))):
+            ins = tuple(draw(st.sampled_from(source.basis())) for _ in range(n))
+            outs = [b for b in target.basis() if b[0] == sum(d for d, _ in ins) + degree]
+            if outs:
+                out = draw(st.sampled_from(outs))
+                op[ins, out] = op.entries.get((ins, out), 0) + draw(st.sampled_from(COEFF_CHOICES))
+        if not op.is_zero():
+            elt.components[n] = op
+    return elt
+
+
+@st.composite
+def star_operands(draw):
+    """f from one space to another, g an endomorphism element of f's source;
+    both of degree -1, 0 or 1."""
+    truncation = draw(st.integers(2, 4))
+    source, target = draw(st.sampled_from(ORACLE_SPACES)), draw(st.sampled_from(ORACLE_SPACES))
+    arities = st.sets(st.integers(1, truncation), max_size=3)
+    f = draw(conv_elements(source, target, truncation, draw(st.integers(-1, 1)), draw(arities)))
+    g = draw(conv_elements(source, source, truncation, draw(st.integers(-1, 1)), draw(arities)))
+    return f, g
+
+
+@ORACLE_BUDGET
+@given(star_operands())
+def test_star_equals_sum_of_partial_compositions(case):
+    f, g = case
+    assert star(f, g) == star_by_slots(f, g)
+
+
+@st.composite
+def circle_operands(draw):
+    """g from one space into f's source, not group-like; g of odd degree
+    comes with an f of arity 1 only, the one case the degree guard allows."""
+    truncation = draw(st.integers(2, 4))
+    first, middle, last = (draw(st.sampled_from(ORACLE_SPACES)) for _ in range(3))
+    g_degree = draw(st.sampled_from([0, 0, 1, -1]))
+    arities = st.sets(st.integers(1, truncation), max_size=3)
+    f_arities = {1} if g_degree else draw(arities)
+    f = draw(conv_elements(middle, last, truncation, draw(st.integers(-1, 1)), f_arities))
+    g = draw(conv_elements(first, middle, truncation, g_degree, draw(arities)))
+    return f, g
+
+
+@ORACLE_BUDGET
+@given(circle_operands())
+def test_circle_equals_sum_over_splits(case):
+    f, g = case
+    assert circle(f, g) == circle_by_splits(f, g)
+
+
+@pytest.mark.parametrize("fixture", [acyclic_dga, line_dga, massey_dga, formal_dga])
+def test_circle_equals_sum_over_splits_on_transfer_operands(fixture):
+    # the mixed-space, non-group-like right factors of a transfer
+    alpha, c = fixture(truncation=4)
+    phi, psi = phi_kernel(alpha, c), psi_kernel(alpha, c)
+    i_elt, p_elt = element_from_map(c.incl, 4), element_from_map(c.proj, 4)
+    h_elt = element_from_map(c.h, 4)  # degree 1
+    for f, g in [(phi, i_elt), (p_elt, psi), (alpha, phi), (p_elt, h_elt), (psi, phi)]:
+        assert circle(f, g) == circle_by_splits(f, g)
 
 
 def test_space_mismatch_raises():

@@ -510,3 +510,77 @@ def test_false_verdict_exact_output(tmp_path, capsys, case):
     code, out, err = run(capsys, *verb, str(infile), "--format", "json")
     expected = json.dumps(VERDICT_JSON[case], indent=2, sort_keys=True) + "\n"
     assert (code, out, err) == (1, expected, "")
+
+
+GAUGE_RECORD = {
+    "space": {"dims": {"1": 1, "2": 1}},
+    "truncation": 3,
+    "structure": {"operations": [  # acyclic_dga(truncation=3), encoded
+        {"arity": 1, "degree": -1, "entries": [_entry([(2, 0)], (1, 0), "-1")]},
+        {"arity": 2, "degree": -1, "entries": [
+            _entry([(1, 0), (1, 0)], (1, 0), "1"),
+            _entry([(1, 0), (2, 0)], (2, 0), "1"),
+            _entry([(2, 0), (1, 0)], (2, 0), "-1"),
+        ]},
+    ]},
+    "gauge": {"operations": [
+        {"arity": 2, "degree": 0, "entries": [_entry([(1, 0), (1, 0)], (2, 0), "1/2")]},
+    ]},
+}
+
+GAUGED = {
+    "space": {"dims": {"1": 1, "2": 1}},
+    "target_space": {"dims": {"1": 1, "2": 1}},
+    "truncation": 3,
+    "degree": -1,
+    "operations": [
+        {"arity": 1, "degree": -1, "entries": [_entry([(2, 0)], (1, 0), "-1")]},
+        {"arity": 2, "degree": -1, "entries": [
+            _entry([(1, 0), (1, 0)], (1, 0), "3/2"),
+            _entry([(1, 0), (2, 0)], (2, 0), "3/2"),
+            _entry([(2, 0), (1, 0)], (2, 0), "-3/2"),
+        ]},
+    ],
+}
+
+
+def test_ainf_gauge_act_exact_output(tmp_path, capsys):
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(GAUGE_RECORD))
+    code, out, err = run(capsys, "ainf", "gauge-act", str(infile))
+    assert (code, err) == (0, "")
+    assert out == "maurer-cartan preserved: PASS\n" + json.dumps(GAUGED) + "\n"
+    code, out, err = run(capsys, "ainf", "gauge-act", str(infile), "--format", "json")
+    expected = {**GAUGED, "maurer_cartan_preserved": True}
+    assert (code, out, err) == (0, json.dumps(expected, indent=2, sort_keys=True) + "\n", "")
+
+
+def _digit_group_inputs():
+    """(argv, file name, text, message): a number written with a digit-group
+    underscore, which Python's ``int`` and ``Fraction`` read as ``10``."""
+    tower = mcx.tower_to_dict(acyclic_tower())
+    structure = element_to_dict(massey_dga()[0])
+    with_degree_key = {**tower, "space": {"dims": {"1_0": 1, **tower["space"]["dims"]}}}
+    with_int = {**structure, "truncation": "1_0"}
+    with_coeff = json.loads(json.dumps(structure))
+    with_coeff["operations"][0]["entries"][0][2] = "1_0"
+    return {
+        "space-degree-key": (["multicomplex", "mc-check"], "in.json", json.dumps(with_degree_key),
+                             "a degree must not group digits with '_', got '1_0'"),
+        "json-int": (["ainf", "mc-check"], "in.json", json.dumps(with_int),
+                     "\"truncation\" must not group digits with '_', got '1_0'"),
+        "json-coeff": (["ainf", "mc-check"], "in.json", json.dumps(with_coeff),
+                       "a coefficient must not group digits with '_', got '1_0'"),
+        "series-coeff": (["prelie", "exp"], "in.txt", "1 (a)\n1_0 (b)\n",
+                         "error: line 2: bad rational coefficient '1_0'"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_digit_group_inputs()))
+def test_digit_group_underscore_exit_2(tmp_path, capsys, case):
+    verb, name, text, message = _digit_group_inputs()[case]
+    f = tmp_path / name
+    f.write_text(text)
+    code, out, err = run(capsys, *verb, str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err

@@ -17,7 +17,7 @@ from helpers import (
     h_star_by_sym_homotopy,
     line_dga,
     massey_dga,
-    phi_kernel_by_inverse,
+    phi_kernel_by_fixed_point,
     phi_kernel_by_trees,
     random_contraction,
     random_conv_element,
@@ -241,7 +241,7 @@ def test_binomial_identities():
 def test_phi_kernel_four_routes_agree(fixture):
     alpha, c = fixture()
     phi = phi_kernel(alpha, c)
-    assert phi == phi_kernel_by_inverse(alpha, c)
+    assert phi == phi_kernel_by_fixed_point(alpha, c)
     assert phi == phi_kernel_by_trees(alpha, c)
     # exponential route: Phi = e^{-Omega(-h abar)}
     habar = h_push(_abar(alpha, c), c)
