@@ -78,6 +78,10 @@ def element_from_dict(data: dict, source=None, target=None) -> ConvElement:
     components = {}
     for op_data in json_list(data.get("operations", ()), '"operations"'):
         op = multiop_from_dict(op_data, source, target)
+        if op.arity > truncation:
+            raise ValidationError(
+                f"operation of arity {op.arity} above the truncation {truncation}"
+            )
         if op.degree != degree:
             raise ValidationError(
                 f"operation of degree {op.degree} in a degree-{degree} element"

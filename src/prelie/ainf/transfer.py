@@ -32,7 +32,7 @@ from fractions import Fraction
 from .. import calculus
 from ..errors import BoundsError, DomainError, InternalCheckError, ShapeError, ValidationError
 from ..combination import Combination, add_into
-from ..linalg import GradedMap, GradedSpace, solve_stage
+from ..linalg import GradedMap, solve_stage, stage_rows
 from .convolution import (
     ConvElement,
     MultiOp,
@@ -242,11 +242,15 @@ def h_push(abar: ConvElement, c: Contraction) -> ConvElement:
     return star(element_from_map(c.h, abar.truncation), abar)
 
 
+def _phi_inv(abar: ConvElement, c: Contraction) -> ConvElement:
+    """Phi^{-1} = 1 - h abar:  Phi = 1 + (h abar) (o) Phi  says
+    (1 - h abar) (o) Phi = 1, as the circle product is linear in its left
+    factor, and group-like elements form a group under (o)."""
+    return unit_element(abar.source, abar.truncation) - h_push(abar, c)
+
+
 def _phi(abar: ConvElement, c: Contraction) -> ConvElement:
-    """Phi = 1 + (h abar) (o) Phi  says  (1 - h abar) (o) Phi = 1, as the
-    circle product is linear in its left factor; group-like elements form a
-    group under (o), so Phi is the circle inverse of 1 - h abar."""
-    return circle_inverse(unit_element(abar.source, abar.truncation) - h_push(abar, c))
+    return circle_inverse(_phi_inv(abar, c))
 
 
 def _psi(abar: ConvElement, c: Contraction) -> ConvElement:
@@ -260,8 +264,8 @@ def _psi(abar: ConvElement, c: Contraction) -> ConvElement:
     return psi
 
 
-def _hat(alpha: ConvElement, phi: ConvElement) -> ConvElement:
-    return circle(star(circle_inverse(phi), alpha), phi)
+def _hat(alpha: ConvElement, phi_inv: ConvElement, phi: ConvElement) -> ConvElement:
+    return circle(star(phi_inv, alpha), phi)
 
 
 def _check(alpha: ConvElement, psi: ConvElement) -> ConvElement:
@@ -288,7 +292,8 @@ def _r_operator(x: ConvElement, abar: ConvElement, c: Contraction) -> ConvElemen
 
 def alpha_hat(alpha: ConvElement, c: Contraction) -> ConvElement:
     """Gauge twist  (Phi^{-1} * alpha) (o) Phi ; outputs land in i(H)."""
-    return _hat(alpha, phi_kernel(alpha, c))
+    phi_inv = _phi_inv(_abar(alpha, c), c)
+    return _hat(alpha, phi_inv, circle_inverse(phi_inv))
 
 
 def alpha_check(alpha: ConvElement, c: Contraction) -> ConvElement:
@@ -316,8 +321,9 @@ def transfer(alpha: ConvElement, c: Contraction) -> TransferResult:
     Returns beta on the small space together with the extended inclusion
     ``i_inf = Phi (o) i`` and extended projection ``p_inf = p (o) Psi``.
     The defining identities are checked exactly and kept on the result by
-    name; a failure raises InternalCheckError.  Phi and Psi are built once
-    and serve both the transferred structure and the checks.
+    name; a failure raises InternalCheckError.  Phi, its inverse 1 - h abar
+    and Psi are built once and serve both the transferred structure and the
+    checks.
 
     ``psi_fixes_i_inf`` is  Psi (o) i_inf == i_inf.  Proof: write
     Psi = 1 + Psi'.  Every component of Psi' is y_n o h_n for some y
@@ -330,7 +336,8 @@ def transfer(alpha: ConvElement, c: Contraction) -> TransferResult:
     """
     abar = _abar(alpha, c)
     A = alpha.truncation
-    phi = _phi(abar, c)
+    phi_inv = _phi_inv(abar, c)
+    phi = circle_inverse(phi_inv)
     psi = _psi(abar, c)
     i_elt = element_from_map(c.incl, A)
     p_elt = element_from_map(c.proj, A)
@@ -342,7 +349,7 @@ def transfer(alpha: ConvElement, c: Contraction) -> TransferResult:
     i_inf = circle(phi, i_elt)
     p_inf = circle(p_elt, psi)
 
-    hat = _hat(alpha, phi)
+    hat = _hat(alpha, phi_inv, phi)
     check = _check(alpha, psi)
     delta_big = element_from_map(c.d, A)
     checks = [
@@ -383,9 +390,9 @@ def find_trivializer(alpha: ConvElement) -> calculus.Trivialization:
     """Stage-wise solve of  f * delta = alpha (o) f  for f = 1 + f_(1) + ...
 
     Stage n is the exact linear system  sum_j f_n o_j d - d o f_n =
-    RHS(f_(<n))  in the arity-n component.  Its matrix is read off the
-    entries of d (:func:`_stage_rows`) and :func:`linalg.solve_stage`
-    solves it by deterministic Gaussian elimination.  Success returns f and
+    RHS(f_(<n))  in the arity-n component.  :func:`linalg.stage_rows` reads
+    its matrix off the entries of d and :func:`linalg.solve_stage` solves it
+    by deterministic Gaussian elimination.  Success returns f and
     its Magnus logarithm, so that the gauge action of the logarithm takes
     the bare differential to alpha; f is checked against the
     infinity-morphism equation, and a failure of that check is a library
@@ -399,11 +406,12 @@ def find_trivializer(alpha: ConvElement) -> calculus.Trivialization:
     A = alpha.truncation
     d_op = alpha.component(1)
     delta = ConvElement(space, space, A, -1, {1: d_op})
+    d = GradedMap(space, space, d_op.degree,
+                  {(*a, b[1]): c for ((a,), b), c in d_op.entries.items()})
     f = unit_element(space, A)
     for n in range(2, A + 1):
         rhs_op = (circle(alpha, f) - star(f, delta)).component(n)
-        unknowns, rows = _stage_rows(space, n, d_op)
-        ok, entries, residual = solve_stage(unknowns, rows, rhs_op.entries)
+        ok, entries, residual = solve_stage(*stage_rows(space, n, 0, d), rhs_op.entries)
         if not ok:
             return calculus.Trivialization(False, stage=n, residual=rhs_op._like(residual))
         if entries:
@@ -414,45 +422,3 @@ def find_trivializer(alpha: ConvElement) -> calculus.Trivialization:
         raise InternalCheckError("find_trivializer: the isotopy found is no infinity-morphism")
     return calculus.Trivialization(True, f=f, log=calculus.magnus_series(f - f.unit_like()))
 
-
-def _stage_rows(space: GradedSpace, n: int, d_op: MultiOp):
-    """Unknowns and matrix rows of  fn -> sum_j fn o_j d - d o_1 fn  on
-    arity-n, degree-0 operations.
-
-    The unknowns are the entry keys ``(inputs, output)`` in deterministic
-    order; row ``t`` maps an unknown's index to the coefficient of target
-    entry ``t`` in the image of that unit operation.  There is one row entry
-    per (unknown, slot, matching entry of d), with the Koszul sign of
-    :func:`compose_at`, read off preimage and image tables of d built once
-    per call.
-    """
-    odd = d_op.degree % 2
-    preimage = {}  # basis vector -> [(a, c)] for the entries d(a) = c b + ...
-    image = {}  # basis vector -> [(b, c)] for the same entries, keyed by a
-    for ((a,), b), c in d_op.entries.items():
-        preimage.setdefault(b, []).append((a, c))
-        image.setdefault(a, []).append((b, c))
-    basis = space.basis()
-    by_degree = {}
-    for b in basis:
-        by_degree.setdefault(b[0], []).append(b)
-    unknowns = []
-    rows: dict = {}
-    for ins in itertools.product(basis, repeat=n):
-        outs = by_degree.get(sum(b[0] for b in ins))
-        if not outs:
-            continue
-        slot_terms = []  # (inputs of the target, coeff) of  sum_j e o_j d
-        parity = 0
-        for j, b in enumerate(ins):
-            for a, c in preimage.get(b, ()):
-                slot_terms.append((ins[:j] + (a,) + ins[j + 1:], -c if odd and parity else c))
-            parity ^= b[0] & 1
-        for out in outs:
-            var = len(unknowns)
-            unknowns.append((ins, out))
-            for tins, c in slot_terms:
-                add_into(rows.setdefault((tins, out), {}), var, c)
-            for b, c in image.get(out, ()):
-                add_into(rows.setdefault((ins, b), {}), var, -c)
-    return unknowns, rows

@@ -96,8 +96,10 @@ def magnus_series(a):
     """The series L with ``exp_series(L) == unit + a``, solved weight by weight.
 
     This is the logarithm inverse to :func:`exp_series`; for pre-Lie products
-    it is the Magnus expansion.  With ``powers[k][m]`` the weight-m part of
-    the right-iterated power L^{*k}, the weight-n part of the equation reads
+    it is the Magnus expansion, and for associative ones (operator towers)
+    the alternating series  sum_k (-1)^(k+1) a^{*k} / k.  With
+    ``powers[k][m]`` the weight-m part of the right-iterated power L^{*k},
+    the weight-n part of the equation reads
 
         L_n = a_n - sum_{k=2..n} (L^{*k})_n / k!,
         (L^{*k})_n = sum_j powers[k-1][j] * L_{n-j},
@@ -128,25 +130,6 @@ def magnus_series(a):
             parts[n] = lam_n
             lam = lam + lam_n
     return lam
-
-
-def assoc_log(f):
-    """Alternating logarithm  m - m*m/2 + m*m*m/3 - ...  with m = f - unit.
-
-    Only meaningful when the underlying product is associative (operator
-    towers); for pre-Lie products use :func:`magnus_series`.
-    """
-    mu = f - f.unit_like()
-    if not mu.weight_component(0).is_zero():
-        raise DomainError("logarithm needs unit weight-0 component")
-    out = mu.zero_like()
-    power = None
-    for n in range(1, f.max_weight + 1):
-        power = mu if power is None else power.star(mu)
-        if power.is_zero():
-            break
-        out = out + power * Fraction((-1) ** (n + 1), n)
-    return out
 
 
 def symmetric_brace(a, args):

@@ -20,7 +20,8 @@ import json
 import sys
 
 from . import ainf, multicomplex, series, trees
-from .errors import DomainError, InternalCheckError, PreLieError
+from .combination import parse_number
+from .errors import DomainError, InternalCheckError, PreLieError, ValidationError
 
 DEFAULT_ORDER = 6
 # bound on --order of the prelie verbs: order 8 takes seconds, order 9 minutes
@@ -50,6 +51,17 @@ def _describe(exc) -> str:
     return str(exc)
 
 
+def _integer(text: str) -> int:
+    """The type of the integer options: ``int``, without the digit-group
+    underscores ("0_2") it accepts; argparse names the option it refuses."""
+    try:
+        return parse_number(text, int, "an integer")
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="preliecalc",
@@ -64,11 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("trees", help="rooted-tree combinatorics")
     tsub = t.add_subparsers(dest="verb", required=True)
     p = tsub.add_parser("enumerate", help="all rooted trees with a given vertex count")
-    p.add_argument("--vertices", type=int, required=True)
+    p.add_argument("--vertices", type=_integer, required=True)
     common(p)
     p.set_defaults(handler=_cmd_trees_enumerate)
     p = tsub.add_parser("levelizations", help="levelizations and weights per tree")
-    p.add_argument("--vertices", type=int, required=True)
+    p.add_argument("--vertices", type=_integer, required=True)
     common(p)
     p.set_defaults(handler=_cmd_trees_levelizations)
 
@@ -77,19 +89,19 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb, handler in [("exp", _cmd_series_exp), ("magnus", _cmd_series_magnus)]:
         p = ssub.add_parser(verb)
         p.add_argument("input", nargs="?", default="-", help="series file, '-' for stdin")
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+        p.add_argument("--order", type=_integer, default=DEFAULT_ORDER)
         common(p)
         p.set_defaults(handler=handler)
     p = ssub.add_parser("bch", help="BCH product of two generators")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=_integer, default=DEFAULT_ORDER)
     common(p)
     p.set_defaults(handler=_cmd_series_bch)
     p = ssub.add_parser("gauge-act", help="(e^L * A) o e^-L for series files L, A")
     p.add_argument("gauge", help="series file for the gauge parameter")
     p.add_argument("target", help="series file for the element acted on")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=_integer, default=DEFAULT_ORDER)
     common(p)
     p.set_defaults(handler=_cmd_series_gauge)
 
@@ -102,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = msub.add_parser(verb)
         p.add_argument("input", nargs="?", default="-")
-        p.add_argument("--truncation", type=int, default=None)
+        p.add_argument("--truncation", type=_integer, default=None)
         common(p)
         p.set_defaults(handler=handler)
 
@@ -115,13 +127,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = asub.add_parser(verb)
         p.add_argument("input", nargs="?", default="-")
-        p.add_argument("--truncation", type=int, default=None)
+        p.add_argument("--truncation", type=_integer, default=None)
         common(p)
         p.set_defaults(handler=handler)
     p = asub.add_parser("transfer", help="homotopy transfer along a contraction")
     p.add_argument("structure", help="structure JSON file")
     p.add_argument("contraction", help="contraction JSON file")
-    p.add_argument("--truncation", type=int, default=None)
+    p.add_argument("--truncation", type=_integer, default=None)
     common(p)
     p.set_defaults(handler=_cmd_ainf_transfer)
 

@@ -4,15 +4,18 @@ A :class:`GradedSpace` is a finite family of standard-basis coordinate
 spaces indexed by integer degrees.  A :class:`GradedMap` is a sparse
 rational matrix between two graded spaces that shifts degree by a fixed
 amount.  Composition is plain matrix composition -- maps between graded
-spaces pick up no Koszul signs on their own; signs only appear when maps
-act inside tensor products (see the ainf package).
+spaces pick up no Koszul signs on their own.
 
-Also home to the deterministic Gaussian solver used by the stage-wise
-trivialization routines.
+Also home to the stage systems of both trivializers and their
+deterministic Gaussian solver: :func:`stage_rows` builds the matrix of
+x -> sum_j x o_j d - d o x on multilinear maps x, with the Koszul sign of d
+passing the inputs before its slot; an operator tower's stage is the
+arity-1 case, the commutator x d - d x.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .combination import Combination, add_into, put
@@ -227,3 +230,49 @@ def solve_stage(unknowns, rows_by_target, rhs_entries):
         for t, row, b in zip(targets, rows, rhs):
             put(residual, t, b - sum(c * solution[var] for var, c in row.items()))
     return ok, entries, residual
+
+
+def stage_rows(space, arity, degree, d):
+    """Unknowns and matrix rows of  x -> sum_j x o_j d - d o x  on the maps
+    space^{tensor arity} -> space of degree ``degree``, for a ``GradedMap`` d.
+
+    The unknowns are the entry keys ``(inputs, output)``: inputs in basis
+    order, then each output of degree sum(input degrees) + ``degree`` in
+    basis order.  Row ``t`` maps an unknown's index to the coefficient of
+    target entry ``t`` in the image of that unit map.  Inserting d into slot
+    j costs (-1)^(|d| * (sum of the degrees of the inputs before j)); at
+    arity 1 no input comes first and the image is the commutator x d - d x.
+    Every row entry is read off one entry of d through its preimage and
+    image tables, built once per call.
+    """
+    odd = d.degree % 2
+    preimage = {}  # basis vector b -> [(a, c)] for the entries d(a) = c b + ...
+    image = {}  # basis vector a -> [(b, c)] for the same entries
+    for (sdeg, sidx, tidx), c in d.entries.items():
+        a, b = (sdeg, sidx), (sdeg + d.degree, tidx)
+        preimage.setdefault(b, []).append((a, c))
+        image.setdefault(a, []).append((b, c))
+    basis = space.basis()
+    by_degree = {}
+    for b in basis:
+        by_degree.setdefault(b[0], []).append(b)
+    unknowns = []
+    rows: dict = {}
+    for ins in itertools.product(basis, repeat=arity):
+        outs = by_degree.get(sum(b[0] for b in ins) + degree)
+        if not outs:
+            continue
+        slot_terms = []  # (inputs of the target, coeff) of  sum_j e o_j d
+        parity = 0
+        for j, b in enumerate(ins):
+            for a, c in preimage.get(b, ()):
+                slot_terms.append((ins[:j] + (a,) + ins[j + 1:], -c if odd and parity else c))
+            parity ^= b[0] & 1
+        for out in outs:
+            var = len(unknowns)
+            unknowns.append((ins, out))
+            for tins, c in slot_terms:
+                add_into(rows.setdefault((tins, out), {}), var, c)
+            for b, c in image.get(out, ()):
+                add_into(rows.setdefault((ins, b), {}), var, -c)
+    return unknowns, rows

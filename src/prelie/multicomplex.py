@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import calculus
 from .combination import Combination, add_into, parse_number
 from .errors import DomainError, InternalCheckError, ShapeError, ValidationError
-from .linalg import GradedMap, GradedSpace, solve_stage
+from .linalg import GradedMap, GradedSpace, solve_stage, stage_rows
 
 STRUCTURE = -1  # per-weight degree 2n - 1
 GAUGE = 0  # per-weight degree 2n
@@ -157,7 +157,7 @@ def log_assoc(f: OperatorTower) -> OperatorTower:
         raise DomainError("log expects a gauge-type tower")
     if f.component(0) != GradedMap.identity(f.space):
         raise DomainError("log expects the identity in weight 0")
-    return calculus.assoc_log(f)
+    return calculus.magnus_series(f - f.unit_like())
 
 
 def conjugate(lam: OperatorTower, alpha: OperatorTower) -> OperatorTower:
@@ -180,47 +180,29 @@ def _delta_only(alpha: OperatorTower) -> OperatorTower:
     )
 
 
-def _stage_rows(space: GradedSpace, degree: int, d: GradedMap):
-    """Unknowns and matrix rows of  fn -> fn d - d fn  on maps of ``degree``.
+def _arity_one(gmap: GradedMap) -> dict:
+    """The entries ``(s, i, t)`` of a graded map keyed as the arity-1 entries
+    ``(((s, i),), (s + degree, t))`` of :func:`linalg.stage_rows`."""
+    return {(((s, i),), (s + gmap.degree, t)): c for (s, i, t), c in gmap.entries.items()}
 
-    The unknowns are the entry keys of a degree-``degree`` map in
-    deterministic order; row ``t`` maps an unknown's index to the
-    coefficient of target entry ``t`` in the commutator of that unit map.
-    Every row entry is read off one entry of d through its preimage and
-    image tables, built once per call.
-    """
-    preimage = {}  # basis vector -> [(sdeg, sidx, c)] for the entries of d landing on it
-    image = {}  # basis vector -> [(tidx, c)] for the entries of d leaving it
-    for (sdeg, sidx, tidx), c in d.entries.items():
-        preimage.setdefault((sdeg + d.degree, tidx), []).append((sdeg, sidx, c))
-        image.setdefault((sdeg, sidx), []).append((tidx, c))
-    unknowns = []
-    rows: dict = {}
-    for sdeg, sdim in space.dims.items():
-        tdeg = sdeg + degree
-        tdim = space.dim(tdeg)
-        for sidx in range(sdim):
-            for tidx in range(tdim):
-                var = len(unknowns)
-                unknowns.append((sdeg, sidx, tidx))
-                for adeg, aidx, c in preimage.get((sdeg, sidx), ()):
-                    add_into(rows.setdefault((adeg, aidx, tidx), {}), var, c)
-                for bidx, c in image.get((tdeg, tidx), ()):
-                    add_into(rows.setdefault((sdeg, sidx, bidx), {}), var, -c)
-    return unknowns, rows
+
+def _tower_keys(entries: dict) -> dict:
+    """Arity-1 entries ``(((s, i),), (_, t))`` keyed back as ``(s, i, t)``."""
+    return {(s, i, t): c for (((s, i),), (_, t)), c in entries.items()}
 
 
 def trivialize(alpha: OperatorTower) -> calculus.Trivialization:
     """Solve  f * delta = alpha * f  for an isotopy f = 1 + f_(1) + ...
 
-    Each stage is the exact linear system  f_(n) d - d f_(n) = RHS(f_(<n)).
-    Its matrix is read off the entries of d (:func:`_stage_rows`) and
-    :func:`linalg.solve_stage` solves it by deterministic Gaussian
-    elimination; any particular solution is accepted.  On an unsolvable
-    stage the result carries the stage weight and the unmatched residual.
-    A found isotopy is checked against ``f * delta == alpha * f``; a
-    failure of that check is a library bug and raises
-    ``InternalCheckError``.
+    Each stage is the exact linear system  f_(n) d - d f_(n) = RHS(f_(<n)),
+    the arity-1 case of the A-infinity stage: :func:`linalg.stage_rows`
+    reads its matrix off the entries of d, keying each entry ``(s, i, t)`` of
+    a graded map as an arity-1 entry, and :func:`linalg.solve_stage` solves
+    it by deterministic Gaussian elimination; any particular solution is
+    accepted.  On an unsolvable stage the result carries the stage weight
+    and the unmatched residual.  A found isotopy is checked against
+    ``f * delta == alpha * f``; a failure of that check is a library bug and
+    raises ``InternalCheckError``.
     """
     report = mc_check(alpha)
     if not report.ok:
@@ -233,12 +215,12 @@ def trivialize(alpha: OperatorTower) -> calculus.Trivialization:
         rhs_map = (star(alpha, f) - star(f, delta)).component(n)
         if rhs_map.is_zero():
             continue
-        unknowns, rows = _stage_rows(space, 2 * n, d)
-        ok, entries, residual = solve_stage(unknowns, rows, rhs_map.entries)
+        ok, entries, residual = solve_stage(*stage_rows(space, 1, 2 * n, d), _arity_one(rhs_map))
         if not ok:
-            return calculus.Trivialization(False, stage=n, residual=rhs_map._like(residual))
+            return calculus.Trivialization(
+                False, stage=n, residual=rhs_map._like(_tower_keys(residual)))
         fn = GradedMap(space, space, 2 * n)
-        fn.entries = entries
+        fn.entries = _tower_keys(entries)
         f = f + OperatorTower(space, alpha.truncation, GAUGE, {n: fn})
     if not isotopy_check(f, delta, alpha):
         raise InternalCheckError("trivialize: the isotopy found fails f * delta == alpha * f")
@@ -354,6 +336,8 @@ def tower_from_dict(data: dict, offset: int = STRUCTURE, space=None, truncation=
             weight = json_int(op["weight"], '"weight"')
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad operator record: {exc}") from None
+        if not 0 <= weight <= truncation:
+            raise ValidationError(f"operator of weight {weight} outside 0..{truncation}")
         gmap = map_entries_from_list(
             op.get("entries", ()), space, space, 2 * weight + offset
         )

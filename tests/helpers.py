@@ -595,6 +595,24 @@ def magnus_by_exp(a):
     return lam
 
 
+def assoc_log(f):
+    """Alternating logarithm  m - m*m/2 + m*m*m/3 - ...  with m = f - unit.
+
+    The logarithm inverse to ``exp_series`` only when the product is
+    associative (operator towers)."""
+    mu = f - f.unit_like()
+    if not mu.weight_component(0).is_zero():
+        raise DomainError("logarithm needs unit weight-0 component")
+    out = mu.zero_like()
+    power = None
+    for n in range(1, f.max_weight + 1):
+        power = mu if power is None else power.star(mu)
+        if power.is_zero():
+            break
+        out = out + power * Fraction((-1) ** (n + 1), n)
+    return out
+
+
 def circle_inverse_by_resolve(g, circle):
     """Circle inverse solved from  x (o) g = unit, composing the whole growing
     x with g again at every weight."""

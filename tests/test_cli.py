@@ -512,6 +512,68 @@ def test_false_verdict_exact_output(tmp_path, capsys, case):
     assert (code, out, err) == (1, expected, "")
 
 
+def _found_inputs():
+    """Inputs with a true verdict of each trivializer: (argv, record)."""
+    _alpha, c = acyclic_dga(truncation=4)
+    gauged = gauge_act(random_gauge_element(c.big, 4, random.Random(3)),
+                       element_from_map(c.d, 4))
+    return {
+        "multicomplex-trivialize": (["multicomplex", "trivialize"],
+                                    mcx.tower_to_dict(acyclic_tower())),
+        "ainf-trivialize": (["ainf", "trivialize"], element_to_dict(gauged)),
+    }
+
+
+FOUND_TEXT = {
+    "multicomplex-trivialize": (
+        "trivializer: FOUND\n"
+        "isotopy verified against the bare differential\n"
+    ),
+    "ainf-trivialize": "trivializer: FOUND\n",
+}
+
+TOWER_SPACE = {"dims": {"0": 1, "1": 2, "2": 1}}
+DGA_SPACE = {"dims": {"1": 1, "2": 1}}
+DGA_GAUGE = {"arity": 2, "degree": 0, "entries": [_entry([(1, 0), (1, 0)], (2, 0), "-1")]}
+
+FOUND_JSON = {
+    "multicomplex-trivialize": {
+        "trivial": True,
+        "isotopy": {"kind": "gauge", "space": TOWER_SPACE, "truncation": 4, "operators": [
+            {"weight": 0, "entries": [[0, 0, 0, "1"], [1, 0, 0, "1"], [1, 1, 1, "1"],
+                                      [2, 0, 0, "1"]]},
+            {"weight": 1, "entries": [[0, 0, 0, "-3"]]},
+        ]},
+        "log": {"kind": "gauge", "space": TOWER_SPACE, "truncation": 4, "operators": [
+            {"weight": 1, "entries": [[0, 0, 0, "-3"]]},
+        ]},
+    },
+    "ainf-trivialize": {
+        "trivial": True,
+        "isotopy": {"space": DGA_SPACE, "target_space": DGA_SPACE, "truncation": 4,
+                    "degree": 0, "operations": [
+                        {"arity": 1, "degree": 0, "entries": [_entry([(1, 0)], (1, 0), "1"),
+                                                              _entry([(2, 0)], (2, 0), "1")]},
+                        DGA_GAUGE,
+                    ]},
+        "log": {"space": DGA_SPACE, "target_space": DGA_SPACE, "truncation": 4,
+                "degree": 0, "operations": [DGA_GAUGE]},
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(FOUND_TEXT))
+def test_found_verdict_exact_output(tmp_path, capsys, case):
+    verb, record = _found_inputs()[case]
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(record))
+    code, out, err = run(capsys, *verb, str(infile))
+    assert (code, out, err) == (0, FOUND_TEXT[case], "")
+    code, out, err = run(capsys, *verb, str(infile), "--format", "json")
+    expected = json.dumps(FOUND_JSON[case], indent=2, sort_keys=True) + "\n"
+    assert (code, out, err) == (0, expected, "")
+
+
 GAUGE_RECORD = {
     "space": {"dims": {"1": 1, "2": 1}},
     "truncation": 3,
@@ -584,3 +646,55 @@ def test_digit_group_underscore_exit_2(tmp_path, capsys, case):
     code, out, err = run(capsys, *verb, str(f))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["prelie", "bch", "x", "y", "--order", "0_2"], "--order"),
+    (["trees", "enumerate", "--vertices", "0_3"], "--vertices"),
+    (["ainf", "mc-check", "in.json", "--truncation", "0_3"], "--truncation"),
+], ids=["order", "vertices", "truncation"])
+def test_digit_group_underscore_option_exit_2(tmp_path, capsys, argv, option):
+    (tmp_path / "in.json").write_text(json.dumps(element_to_dict(massey_dga()[0])))
+    argv = [str(tmp_path / a) if a == "in.json" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    # argparse refuses it before main runs: usage, then the option named
+    assert (exc.value.code, out) == (2, "")
+    message = f"an integer must not group digits with '_', got '{argv[-1]}'"
+    assert err.endswith(f"error: argument {option}: {message}\n")
+
+
+def _above_truncation_inputs():
+    """(argv, record, message): a component the truncation would drop."""
+    structure = element_to_dict(massey_dga()[0])  # operations of arity 1 and 2
+    space = {"dims": {"0": 1, "3": 1}}
+    return {
+        "ainf-record": (["ainf", "mc-check"], {**structure, "truncation": 1},
+                        "operation of arity 2 above the truncation 1"),
+        "ainf-override": (["ainf", "mc-check", "--truncation", "1"], structure,
+                          "operation of arity 2 above the truncation 1"),
+        "ainf-trivialize-override": (["ainf", "trivialize", "--truncation", "1"], structure,
+                                     "operation of arity 2 above the truncation 1"),
+        "tower-above": (["multicomplex", "mc-check"], {
+            "space": space, "truncation": 1,
+            "operators": [{"weight": 2, "entries": [[0, 0, 0, "1"]]}],
+        }, "operator of weight 2 outside 0..1"),
+        "tower-negative": (["multicomplex", "mc-check"], {
+            "space": space, "truncation": 1,
+            "operators": [{"weight": -1, "entries": [[3, 0, 0, "1"]]}],
+        }, "operator of weight -1 outside 0..1"),
+        "tower-override": (["multicomplex", "trivialize", "--truncation", "1"], {
+            "space": space, "truncation": 2,
+            "operators": [{"weight": 2, "entries": [[0, 0, 0, "1"]]}],
+        }, "operator of weight 2 outside 0..1"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_above_truncation_inputs()))
+def test_component_outside_the_truncation_exit_2(tmp_path, capsys, case):
+    verb, record, message = _above_truncation_inputs()[case]
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(record))
+    code, out, err = run(capsys, *verb, str(infile))
+    assert (code, out, err) == (2, "", f"error: {message}\n")

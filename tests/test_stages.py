@@ -3,10 +3,11 @@
 ``linalg.solve_sparse`` must agree exactly with the row-scanning
 elimination in ``helpers.solve_sparse_by_scan`` (same pivot rule), the
 stage routine ``linalg.solve_stage`` with the assembly it replaced, and the
-stage matrices read off d with the per-unknown operators
-``helpers.stage_operator`` (A-infinity) and ``helpers.commutator``
-(multicomplex).  A solver returning a wrong solution must be caught by the
-post-solve checks.
+stage matrices of ``linalg.stage_rows`` with the per-unknown operator
+``helpers.stage_operator``; at arity 1, the multicomplex stage, also with
+``helpers.commutator``.  A solver returning a wrong solution must be caught
+by the post-solve checks, and the stage sizes the benchmark records must
+still reach the solver.
 """
 
 import itertools
@@ -19,7 +20,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from prelie import linalg
 from prelie import multicomplex as mcx
 from prelie.ainf import MultiOp, element_from_map, find_trivializer, gauge_act
-from prelie.ainf.transfer import _stage_rows as ainf_stage_rows
 from prelie.errors import InternalCheckError
 from prelie.linalg import GradedMap, GradedSpace, solve_sparse, solve_stage
 from helpers import (
@@ -33,7 +33,6 @@ from helpers import (
     obstructed_tower,
     random_gauge_element,
     random_gauge_tower,
-    random_multi_op,
     solve_sparse_by_scan,
     stage_operator,
 )
@@ -149,67 +148,84 @@ def _columns(rows):
     return columns
 
 
-def _check_ainf_stage(space, n, d_op):
-    unknowns, rows = ainf_stage_rows(space, n, d_op)
+def _check_stage(space, arity, degree, d):
+    unknowns, rows = linalg.stage_rows(space, arity, degree, d)
     basis = space.basis()
     assert unknowns == [
         (ins, out)
-        for ins in itertools.product(basis, repeat=n)
+        for ins in itertools.product(basis, repeat=arity)
         for out in basis
-        if out[0] == sum(b[0] for b in ins)
+        if out[0] == sum(b[0] for b in ins) + degree
     ]
     columns = _columns(rows)
+    d_op = MultiOp.from_graded_map(d)
     for var, key in enumerate(unknowns):
-        unit = MultiOp(space, space, n, 0, {key: Fraction(1)})
+        unit = MultiOp(space, space, arity, degree, {key: Fraction(1)})
         assert columns.get(var, {}) == stage_operator(unit, d_op).entries
+        if arity == 1:  # the multicomplex stage: a commutator of graded maps
+            ((s, i),), (_, t) = key
+            comm = commutator(GradedMap(space, space, degree, {(s, i, t): 1}), d)
+            assert columns.get(var, {}) == mcx._arity_one(comm)
 
 
 @pytest.mark.parametrize("fixture", [massey_dga, formal_dga, a_infinity_instance])
 def test_ainf_stage_columns_equal_the_stage_operator(fixture):
-    alpha, _c = fixture(truncation=4)
+    alpha, c = fixture(truncation=4)
     for n in range(2, 5):
-        _check_ainf_stage(alpha.source, n, alpha.component(1))
-
-
-def test_ainf_stage_columns_on_random_differentials():
-    rng = random.Random(23)
-    for _ in range(6):
-        space = GradedSpace({k: rng.randint(0, 2) for k in range(-1, 2)})
-        if not space.dims:
-            continue
-        d_op = random_multi_op(space, 1, -1, rng, nentries=rng.randint(1, 5))
-        for n in (2, 3):
-            _check_ainf_stage(space, n, d_op)
-
-
-def _check_tower_stage(space, degree, d):
-    unknowns, rows = mcx._stage_rows(space, degree, d)
-    assert unknowns == [
-        (sdeg, sidx, tidx)
-        for sdeg, sdim in space.dims.items()
-        for sidx in range(sdim)
-        for tidx in range(space.dim(sdeg + degree))
-    ]
-    columns = _columns(rows)
-    for var, key in enumerate(unknowns):
-        unit = GradedMap(space, space, degree, {key: Fraction(1)})
-        assert columns.get(var, {}) == commutator(unit, d).entries
+        _check_stage(alpha.source, n, 0, c.d)
 
 
 def test_tower_stage_columns_equal_the_commutator():
-    towers = [acyclic_tower(), bicomplex_tower(), obstructed_tower()]
-    rng = random.Random(29)
-    for _ in range(6):
-        space = GradedSpace({k: rng.randint(0, 3) for k in range(6)})
-        d = GradedMap(space, space, -1)
-        keys = [(s, i, t) for s, dim in space.dims.items() for i in range(dim)
-                for t in range(space.dim(s - 1))]
-        for key in rng.sample(keys, min(len(keys), rng.randint(1, 8))):
-            d[key] = rng.choice([-2, -1, Fraction(1, 2), 1, 3])
-        towers.append(mcx.structure_tower(space, 3, {0: d}))
-    for tower in towers:
+    for tower in (acyclic_tower(), bicomplex_tower(), obstructed_tower()):
         for n in range(1, 4):
-            _check_tower_stage(tower.space, 2 * n, tower.component(0))
+            _check_stage(tower.space, 1, 2 * n, tower.component(0))
+
+
+@st.composite
+def stage_shapes(draw):
+    """A space of at most six basis vectors in degrees -1..2, a random map d
+    on it of degree -1, 0 or 1, an arity 1..3 and an unknown degree -1..4."""
+    arity = draw(st.integers(1, 3))
+    room = 6
+    dims = {}
+    for deg in range(-1, 3):
+        dims[deg] = draw(st.integers(0, min(2, room)))
+        room -= dims[deg]
+    space = GradedSpace(dims)
+    d = GradedMap(space, space, draw(st.integers(-1, 1)))
+    keys = [(s, i, t) for s, dim in space.dims.items() for i in range(dim)
+            for t in range(space.dim(s + d.degree))]
+    if keys:
+        for key in draw(st.lists(st.sampled_from(keys), max_size=5)):
+            d[key] = draw(COEFFS)
+    return space, arity, draw(st.integers(-1, 4)), d
+
+
+@BUDGET
+@given(stage_shapes())
+def test_stage_columns_equal_the_stage_operator(shape):
+    _check_stage(*shape)
+
+
+def test_stage_sizes_the_benchmark_records(monkeypatch):
+    # perfbench/spans.SolveSizes records rows x unknowns per job by rebinding
+    # linalg.solve_sparse; these sizes must reach it, and stay comparable
+    # with older records, whichever module builds the stages
+    sizes = []
+    solve = linalg.solve_sparse
+
+    def recording(rows, rhs, nvars):
+        sizes.append((len(rows), nvars))
+        return solve(rows, rhs, nvars)
+
+    monkeypatch.setattr(linalg, "solve_sparse", recording)
+    assert mcx.trivialize(acyclic_tower()).found
+    assert sizes == [(2, 1)]
+    sizes.clear()
+    _alpha, c = massey_dga(truncation=4)
+    gauged = gauge_act(random_gauge_element(c.big, 4, random.Random(5)), element_from_map(c.d, 4))
+    assert find_trivializer(gauged).found
+    assert sizes == [(23, 96), (101, 448), (431, 2048)]
 
 
 def _zero_solver(rows, rhs, nvars):

@@ -35,6 +35,7 @@ from prelie.ainf import (
     alpha_check,
     alpha_hat,
     circle,
+    circle_inverse,
     element_from_map,
     find_trivializer,
     gauge_act,
@@ -248,6 +249,8 @@ def test_phi_kernel_four_routes_agree(fixture):
     assert phi == calculus.exp_series(-calculus.magnus_series(-habar))
     # first step of the fixed point: arity-2 part is h o m2
     assert phi.component(2) == habar.component(2)
+    # the inverse alpha-hat takes without a circle inverse
+    assert circle_inverse(phi) == phi.unit_like() - habar
 
 
 def test_phi_with_zero_homotopy_or_zero_structure():
@@ -337,15 +340,16 @@ def test_transfer_identities(fixture):
 def test_transfer_builds_each_kernel_once(monkeypatch):
     alpha, c = massey_dga(truncation=4)
     calls = collections.Counter()
-    for name in ("mc_check", "_phi", "_psi"):
+    for name in ("mc_check", "_phi_inv", "_psi", "circle_inverse"):
         def counted(*args, _name=name, _fn=getattr(transfer_module, name)):
             calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(transfer_module, name, counted)
     result = transfer(alpha, c)
-    # one Maurer-Cartan check of alpha, one of beta
-    assert calls == {"mc_check": 2, "_phi": 1, "_psi": 1}
+    # one Maurer-Cartan check of alpha, one of beta; one circle inverse gives
+    # Phi from its known inverse 1 - h abar, the other Psi^{-1} for alpha-check
+    assert calls == {"mc_check": 2, "_phi_inv": 1, "_psi": 1, "circle_inverse": 2}
     assert [name for name, _ok in result.checks] == [
         "maurer_cartan_beta",
         "hat_formula",
