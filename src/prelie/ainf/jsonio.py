@@ -12,7 +12,8 @@ the entry-list format of the multicomplex module.
 
 from __future__ import annotations
 
-from ..errors import ValidationError
+from ..combination import add_into
+from ..errors import BoundsError, ValidationError
 from ..linalg import GradedSpace
 from ..multicomplex import (
     json_coeff,
@@ -21,11 +22,16 @@ from ..multicomplex import (
     json_object,
     map_entries_from_list,
     map_entries_to_list,
+    space_and_truncation,
     space_from_dict,
     space_to_dict,
 )
 from .convolution import ConvElement, MultiOp
 from .transfer import Contraction
+
+# bound on the truncation arity of an element read from JSON: transfer and
+# find_trivializer take seconds at 8 and grow about fivefold per arity
+MAX_TRUNCATION = 8
 
 
 def multiop_to_dict(op: MultiOp) -> dict:
@@ -62,18 +68,20 @@ def element_to_dict(elt: ConvElement) -> dict:
     }
 
 
-def element_from_dict(data: dict, source=None, target=None) -> ConvElement:
+def element_from_dict(data: dict, source=None, target=None, truncation=None, degree=-1) -> ConvElement:
+    """The element of a JSON record, whose space and truncation are read as
+    :func:`space_and_truncation` says, with ``source`` as the space; the
+    target space defaults to the source and ``degree`` applies to a record
+    that names none.  Operations of one arity are summed."""
     json_object(data, "the structure")
+    source, truncation = space_and_truncation(data, truncation, source)
+    if truncation > MAX_TRUNCATION:
+        raise BoundsError(f"truncation arity must be <= {MAX_TRUNCATION}, got {truncation}")
+    if target is None:
+        target = space_from_dict(data["target_space"]) if "target_space" in data else source
     try:
-        if source is None:
-            source = space_from_dict(data["space"])
-        if target is None:
-            target = (
-                space_from_dict(data["target_space"]) if "target_space" in data else source
-            )
-        truncation = json_int(data["truncation"], '"truncation"')
-        degree = json_int(data.get("degree", -1), '"degree"')
-    except (KeyError, TypeError, ValueError) as exc:
+        degree = json_int(data.get("degree", degree), '"degree"')
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad element record: {exc}") from None
     components = {}
     for op_data in json_list(data.get("operations", ()), '"operations"'):
@@ -86,10 +94,7 @@ def element_from_dict(data: dict, source=None, target=None) -> ConvElement:
             raise ValidationError(
                 f"operation of degree {op.degree} in a degree-{degree} element"
             )
-        if op.arity in components:
-            components[op.arity] = components[op.arity] + op
-        else:
-            components[op.arity] = op
+        add_into(components, op.arity, op)
     return ConvElement(source, target, truncation, degree, components)
 
 

@@ -311,16 +311,8 @@ def _cmd_mc_trivialize(args) -> int:
 # -- ainf ------------------------------------------------------------------------
 
 
-def _load_element(data, truncation):
-    multicomplex.json_object(data, "the structure")
-    if truncation is not None:
-        data = dict(data)
-        data["truncation"] = truncation
-    return ainf.element_from_dict(data)
-
-
 def _cmd_ainf_mc_check(args) -> int:
-    alpha = _load_element(_read_json(args.input), args.truncation)
+    alpha = ainf.element_from_dict(_read_json(args.input), truncation=args.truncation)
     report = ainf.mc_check(alpha)
     payload = {"maurer_cartan": report.ok}
     lines = [f"maurer-cartan: {'PASS' if report.ok else 'FAIL'}"]
@@ -338,8 +330,8 @@ def _cmd_ainf_gauge(args) -> int:
     space, n = multicomplex.space_and_truncation(data, args.truncation)
     structure = multicomplex.json_object(data.get("structure", {}), '"structure"')
     gauge = multicomplex.json_object(data.get("gauge", {}), '"gauge"')
-    alpha = ainf.element_from_dict({"truncation": n, "degree": -1, **structure}, source=space)
-    lam = ainf.element_from_dict({"truncation": n, "degree": 0, **gauge}, source=space)
+    alpha = ainf.element_from_dict(structure, source=space, truncation=n)
+    lam = ainf.element_from_dict(gauge, source=space, truncation=n, degree=0)
     result = ainf.gauge_act(lam, alpha)
     record = ainf.element_to_dict(result)
     payload = {**record, "maurer_cartan_preserved": ainf.mc_check(result).ok}
@@ -352,7 +344,7 @@ def _cmd_ainf_gauge(args) -> int:
 
 
 def _cmd_ainf_trivialize(args) -> int:
-    alpha = _load_element(_read_json(args.input), args.truncation)
+    alpha = ainf.element_from_dict(_read_json(args.input), truncation=args.truncation)
     result = ainf.find_trivializer(alpha)
     if result.found:
         payload = {
@@ -377,7 +369,7 @@ def _cmd_ainf_trivialize(args) -> int:
 
 
 def _cmd_ainf_transfer(args) -> int:
-    alpha = _load_element(_read_json(args.structure), args.truncation)
+    alpha = ainf.element_from_dict(_read_json(args.structure), truncation=args.truncation)
     contraction = ainf.contraction_from_dict(_read_json(args.contraction))
     result = ainf.transfer(alpha, contraction)
     payload = {

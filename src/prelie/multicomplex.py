@@ -305,16 +305,21 @@ def tower_to_dict(tower: OperatorTower) -> dict:
     }
 
 
-def space_and_truncation(data, truncation=None):
-    """The graded space of a JSON record and its truncation; ``truncation``
-    overrides the record's own."""
-    if not isinstance(data, dict) or "space" not in data:
+def space_and_truncation(data, truncation=None, space=None):
+    """The graded space and the truncation of a JSON record; an argument that
+    is given overrides the record's value.  A truncation that is missing,
+    non-numeric or below 1 is refused with one message, and a float, a
+    boolean or ``"1_0"`` with that of :func:`json_int`."""
+    if not isinstance(data, dict) or space is None and "space" not in data:
         raise ValidationError('expected a JSON object with a "space" record')
-    space = space_from_dict(data["space"])
+    if space is None:
+        space = space_from_dict(data["space"])
     if truncation is None:
         truncation = data.get("truncation")
     try:
         n = json_int(truncation, '"truncation"')
+    except ValidationError:
+        raise
     except (TypeError, ValueError):
         n = 0
     if n < 1:
@@ -323,13 +328,9 @@ def space_and_truncation(data, truncation=None):
 
 
 def tower_from_dict(data: dict, offset: int = STRUCTURE, space=None, truncation=None) -> OperatorTower:
-    """The tower of a JSON record; ``space`` and ``truncation``, when not
-    given, are read from the record by :func:`space_and_truncation`."""
-    if space is None or truncation is None:
-        record_space, truncation = space_and_truncation(data, truncation)
-        if space is None:
-            space = record_space
-    json_object(data, "the tower")
+    """The tower of a JSON record, read as :func:`space_and_truncation` says;
+    operators of one weight are summed."""
+    space, truncation = space_and_truncation(data, truncation, space)
     components = {}
     for op in json_list(data.get("operators", ()), '"operators"'):
         try:
@@ -338,8 +339,7 @@ def tower_from_dict(data: dict, offset: int = STRUCTURE, space=None, truncation=
             raise ValidationError(f"bad operator record: {exc}") from None
         if not 0 <= weight <= truncation:
             raise ValidationError(f"operator of weight {weight} outside 0..{truncation}")
-        gmap = map_entries_from_list(
+        add_into(components, weight, map_entries_from_list(
             op.get("entries", ()), space, space, 2 * weight + offset
-        )
-        components[weight] = components.get(weight, gmap.zero(space, space, gmap.degree)) + gmap
+        ))
     return OperatorTower(space, truncation, offset, components)

@@ -1,5 +1,6 @@
 """Convolution algebra of multilinear operations: products, MC, gauge."""
 
+import json
 import random
 
 import pytest
@@ -26,7 +27,9 @@ from prelie.ainf import (
     circle,
     circle_inverse,
     compose_at,
+    element_from_dict,
     element_from_map,
+    element_to_dict,
     gauge_act,
     inf_morphism_check,
     mc_check,
@@ -197,6 +200,37 @@ def conv_elements(draw, source, target, truncation, degree, arities):
         if not op.is_zero():
             elt.components[n] = op
     return elt
+
+
+SMALL_SPACES = st.dictionaries(
+    st.integers(-2, 2), st.integers(1, 2), min_size=1, max_size=3).map(GradedSpace)
+
+
+@st.composite
+def json_elements(draw):
+    """An element of degree -1 or 0 between spaces of at most six basis
+    vectors, the target often another space than the source."""
+    truncation = draw(st.integers(1, 4))
+    source = draw(SMALL_SPACES)
+    target = draw(st.one_of(st.just(source), SMALL_SPACES))
+    arities = draw(st.sets(st.integers(1, truncation), max_size=3))
+    return draw(conv_elements(source, target, truncation, draw(st.sampled_from([-1, 0])), arities))
+
+
+@ORACLE_BUDGET
+@given(json_elements())
+def test_element_json_round_trip_law(elt):
+    data = json.loads(json.dumps(element_to_dict(elt)))
+    assert element_from_dict(data) == elt
+
+
+def test_element_from_dict_reads_a_sub_record():
+    # the call that perfbench/checks.py makes on a gauge-act record's
+    # "structure": no "space" key, the truncation and degree in the record
+    alpha = massey_dga()[0]
+    structure = {"operations": element_to_dict(alpha)["operations"]}
+    record = {"truncation": alpha.truncation, "degree": -1, **structure}
+    assert element_from_dict(record, source=alpha.source) == alpha
 
 
 @st.composite

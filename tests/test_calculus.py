@@ -8,10 +8,11 @@ and operator towers, ``series.graft`` with ``helpers.graft_by_pairs``, and
 ``helpers.grouplike_inverse_by_trees``; on operator towers,
 ``magnus_series`` is also the alternating ``helpers.assoc_log``.
 The laws tying exponential, logarithm and the products together are checked
-exactly.
+exactly, and so is the text form of a series, which reads back to itself.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -39,7 +40,17 @@ from prelie.ainf import (
     gauge_act,
 )
 from prelie.linalg import GradedSpace
-from prelie.series import LabeledTree, TreeSeries, bch, circle, exp, graft, grouplike_inverse
+from prelie.series import (
+    LabeledTree,
+    TreeSeries,
+    bch,
+    circle,
+    exp,
+    format_series,
+    graft,
+    grouplike_inverse,
+    parse_series,
+)
 
 BUDGET = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 COEFFS = st.sampled_from(COEFF_CHOICES)
@@ -231,3 +242,10 @@ def test_tower_magnus_equals_assoc_log(seed, truncation, nentries):
     assert calculus.magnus_series(a) == magnus_by_exp(a)
     assert calculus.exp_series(calculus.magnus_series(a)) == f
     assert mcx.exp_assoc(lam) == f
+
+
+@BUDGET
+@given(st.tuples(st.integers(1, 6), st.sampled_from([0, 1, Fraction(-3, 2)]))
+       .flatmap(lambda args: tree_series(*args)))
+def test_series_text_round_trip_law(s):
+    assert parse_series(format_series(s), s.order) == s

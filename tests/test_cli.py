@@ -236,11 +236,11 @@ def _inexact_number_inputs():
             lambda d: op_of(d["operators"], "weight", 1).update(weight="RAW")),
             "1.5", '"weight" must be an integer, got 1.5'),
         "tower-truncation-4.9": (mc, tower_with(lambda d: d.update(truncation="RAW")),
-                                 "4.9", "truncation must be a positive integer, got 4.9"),
+                                 "4.9", '"truncation" must be an integer, got 4.9'),
         "ainf-truncation-4.9": (ainf_mc, structure_with(lambda d: d.update(truncation="RAW")),
                                 "4.9", '"truncation" must be an integer, got 4.9'),
         "tower-truncation-true": (mc, tower_with(lambda d: d.update(truncation="RAW")),
-                                  "true", "truncation must be a positive integer, got True"),
+                                  "true", '"truncation" must be an integer, got True'),
     }
     return {
         name: (verb, json.dumps(data).replace('"RAW"', raw), message)
@@ -631,6 +631,9 @@ def _digit_group_inputs():
                              "a degree must not group digits with '_', got '1_0'"),
         "json-int": (["ainf", "mc-check"], "in.json", json.dumps(with_int),
                      "\"truncation\" must not group digits with '_', got '1_0'"),
+        "tower-truncation": (["multicomplex", "mc-check"], "in.json",
+                             json.dumps({**tower, "truncation": "1_0"}),
+                             "\"truncation\" must not group digits with '_', got '1_0'"),
         "json-coeff": (["ainf", "mc-check"], "in.json", json.dumps(with_coeff),
                        "a coefficient must not group digits with '_', got '1_0'"),
         "series-coeff": (["prelie", "exp"], "in.txt", "1 (a)\n1_0 (b)\n",
@@ -698,3 +701,48 @@ def test_component_outside_the_truncation_exit_2(tmp_path, capsys, case):
     infile.write_text(json.dumps(record))
     code, out, err = run(capsys, *verb, str(infile))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_gauge_act_sub_record_truncation_is_overridden(tmp_path, capsys):
+    # the sub-records take their truncation from the outer record or
+    # --truncation, whatever "truncation" they carry themselves
+    alpha = massey_dga()[0]  # truncation 5, operations of arity 1 and 2
+    lam = random_gauge_element(alpha.source, 3, random.Random(2))  # arities 2 and 3
+    record = {
+        "space": mcx.space_to_dict(alpha.source), "truncation": 5,
+        "structure": {"truncation": 9, "operations": element_to_dict(alpha)["operations"]},
+        "gauge": {"operations": element_to_dict(lam)["operations"]},
+    }
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(record))
+    for extra, n in (([], 5), (["--truncation", "3"], 3)):
+        code, out, err = run(capsys, "ainf", "gauge-act", str(infile), "--format", "json", *extra)
+        assert (code, err) == (0, "")
+        expected = gauge_act(ConvElement(lam.source, lam.target, n, 0, lam.components),
+                             ConvElement(alpha.source, alpha.target, n, -1, alpha.components))
+        payload = json.loads(out)
+        assert payload["truncation"] == n
+        assert payload == {**element_to_dict(expected), "maurer_cartan_preserved": True}
+
+
+def _above_bound_inputs():
+    """(argv, record): an A-infinity truncation one above the bound of 8."""
+    structure = element_to_dict(massey_dga()[0])
+    gauge = {"space": structure["space"], "truncation": 9,
+             "structure": {"operations": structure["operations"]}, "gauge": {}}
+    return {
+        "record": (["ainf", "mc-check"], {**structure, "truncation": 9}),
+        "option": (["ainf", "mc-check", "--truncation", "9"], structure),
+        "gauge-act": (["ainf", "gauge-act"], gauge),
+    }
+
+
+@pytest.mark.parametrize("case", list(_above_bound_inputs()))
+def test_ainf_truncation_above_bound_exit_2(tmp_path, capsys, case):
+    verb, record = _above_bound_inputs()[case]
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(record))
+    code, out, err = run(capsys, *verb, str(infile))
+    assert (code, out, err) == (2, "", "error: truncation arity must be <= 8, got 9\n")
+    code, out, err = run(capsys, *verb[:2], str(infile), "--truncation", "8")
+    assert (code, err) == (0, "")

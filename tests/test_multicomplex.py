@@ -1,12 +1,21 @@
 """Operator towers: convolution, Maurer-Cartan, conjugation, trivialization."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import acyclic_tower, bicomplex_tower, obstructed_tower, random_gauge_tower
+from helpers import (
+    COEFF_CHOICES,
+    acyclic_tower,
+    bicomplex_tower,
+    obstructed_tower,
+    random_gauge_tower,
+)
 from prelie import multicomplex as mcx
+from prelie.ainf import element_from_dict
 from prelie.errors import DomainError, ShapeError, ValidationError
 from prelie.linalg import GradedMap, GradedSpace
 
@@ -178,16 +187,44 @@ def test_json_round_trip():
     assert mcx.tower_from_dict(data, offset=mcx.GAUGE) == lam
 
 
-@pytest.mark.parametrize(
-    "record, message",
-    [
-        ({"operators": []}, '"space" record'),
-        ({"space": {"dims": {"0": 1}}, "truncation": "x"}, "got 'x'"),
-        ({"space": {"dims": {"0": 1}}, "truncation": None}, "got None"),
-        ({"space": {"dims": {"0": 1}}}, "got None"),
-    ],
-    ids=["no-space", "truncation-x", "truncation-null", "no-truncation"],
-)
-def test_tower_from_dict_typed_errors(record, message):
+@st.composite
+def towers(draw, offset):
+    """A tower of kind ``offset`` on a space of at most six basis vectors in
+    degrees 0..5, with up to three random entries in each weight."""
+    dims = draw(st.dictionaries(st.integers(0, 5), st.integers(1, 2), min_size=1, max_size=3))
+    space, truncation = GradedSpace(dims), draw(st.integers(1, 3))
+    components = {}
+    for w in range(truncation + 1):
+        gmap = GradedMap(space, space, 2 * w + offset)
+        keys = [(d, i, j) for d, n in dims.items() for i in range(n)
+                for j in range(space.dim(d + gmap.degree))]
+        for key in draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else ():
+            gmap[key] = gmap.entries.get(key, 0) + draw(st.sampled_from(COEFF_CHOICES))
+        components[w] = gmap
+    return mcx.OperatorTower(space, truncation, offset, components)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([mcx.STRUCTURE, mcx.GAUGE]).flatmap(towers))
+def test_tower_json_round_trip_law(tower):
+    data = json.loads(json.dumps(mcx.tower_to_dict(tower)))
+    assert mcx.tower_from_dict(data, tower.offset) == tower
+
+
+TYPED_ERROR_RECORDS = [
+    ("no-space", {"operators": []}, '"space" record'),
+    ("truncation-x", {"space": {"dims": {"0": 1}}, "truncation": "x"}, "got 'x'"),
+    ("truncation-null", {"space": {"dims": {"0": 1}}, "truncation": None}, "got None"),
+    ("no-truncation", {"space": {"dims": {"0": 1}}}, "got None"),
+]
+
+
+@pytest.mark.parametrize("reader, record, message", [
+    pytest.param(reader, record, message, id=prefix + name)
+    for prefix, reader in (("", mcx.tower_from_dict), ("element-", element_from_dict))
+    for name, record, message in TYPED_ERROR_RECORDS
+])
+def test_tower_from_dict_typed_errors(reader, record, message):
+    # both readers take a record's space and truncation the same way
     with pytest.raises(ValidationError, match=message):
-        mcx.tower_from_dict(record)
+        reader(record)
