@@ -49,7 +49,7 @@ def multiop_from_dict(data: dict, source: GradedSpace, target: GradedSpace) -> M
     try:
         arity, degree = json_int(data["arity"], '"arity"'), json_int(data["degree"], '"degree"')
         op = MultiOp(source, target, arity, degree)
-        for ins, out, coeff in data.get("entries", ()):
+        for ins, out, coeff in json_list(data.get("entries", ()), '"entries"'):
             key = (tuple(tuple(json_int(x, "a basis key") for x in b) for b in ins),
                    tuple(json_int(x, "a basis key") for x in out))
             op[key[0], key[1]] = op.entries.get(key, 0) + json_coeff(coeff, "a coefficient")
@@ -79,10 +79,7 @@ def element_from_dict(data: dict, source=None, target=None, truncation=None, deg
         raise BoundsError(f"truncation arity must be <= {MAX_TRUNCATION}, got {truncation}")
     if target is None:
         target = space_from_dict(data["target_space"]) if "target_space" in data else source
-    try:
-        degree = json_int(data.get("degree", degree), '"degree"')
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad element record: {exc}") from None
+    degree = json_int(data.get("degree", degree), '"degree"')
     components = {}
     for op_data in json_list(data.get("operations", ()), '"operations"'):
         op = multiop_from_dict(op_data, source, target)

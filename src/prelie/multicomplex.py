@@ -245,11 +245,18 @@ def json_list(value, where: str):
 
 
 def json_int(value, where: str) -> int:
-    """``value`` as an integer; a float (JSON ``2.9``, ``1e400``, ``Infinity``),
-    a boolean or a string with ``_`` is a ValidationError naming ``where``."""
-    if isinstance(value, (bool, float)):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
-    return parse_number(value, int, where)
+    """``value`` as an integer, read from a JSON integer or a string of one.
+    Anything else is a ValidationError naming ``where``: a float (JSON
+    ``2.9``, ``1e400``, ``Infinity``), a boolean, a string with ``_`` or one
+    that is no integer, null, a list or an object."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return parse_number(value, int, where)
+        except ValidationError:
+            raise
+        except ValueError:
+            pass
+    raise ValidationError(f"{where} must be an integer, got {value!r}")
 
 
 def json_coeff(value, where: str) -> Fraction:
@@ -284,7 +291,7 @@ def map_entries_from_list(entries, source, target, degree) -> GradedMap:
     out = GradedMap(source, target, degree)
     row = entries  # named in the message when ``entries`` is not a list
     try:
-        for row in entries:
+        for row in json_list(entries, "operator entries"):
             sdeg, sidx, tidx, coeff = row
             key = tuple(json_int(x, "a degree or index") for x in (sdeg, sidx, tidx))
             out[key] = out.entries.get(key, 0) + json_coeff(coeff, "a coefficient")
@@ -319,8 +326,8 @@ def space_and_truncation(data, truncation=None, space=None):
     try:
         n = json_int(truncation, '"truncation"')
     except ValidationError:
-        raise
-    except (TypeError, ValueError):
+        if isinstance(truncation, (bool, float)) or isinstance(truncation, str) and "_" in truncation:
+            raise
         n = 0
     if n < 1:
         raise ValidationError(f"truncation must be a positive integer, got {truncation!r}")

@@ -15,6 +15,7 @@ the test suite.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -297,9 +298,89 @@ def grouplike_inverse(g: TreeSeries) -> TreeSeries:
     return calculus.circle_inverse(g, circle)
 
 
+def _log_word_coefficients(weights: dict, order: int) -> dict:
+    """Coefficients c_w of log(e^X e^Y) in the free associative algebra.
+
+    Words are strings over "xy", kept while the ``weights`` of their letters
+    sum to at most ``order``.  With Z = e^X e^Y - 1, the sum of the pieces
+    x^a y^b (a + b >= 1) over a! b!,  c_w = sum_k (-1)^(k+1) [Z^k]_w / k.
+    ``level`` holds |w|! [Z^k]_w, an integer (a sum of multinomials over the
+    cuts of w into k pieces), and grows by one piece per step, so the only
+    fractions formed are the c_w themselves.
+    """
+    wx, wy = weights["x"], weights["y"]
+    pieces = [
+        ("x" * a + "y" * b, math.comb(a + b, a), a * wx + b * wy)
+        for a in range(order // wx + 1)
+        for b in range(order // wy + 1)
+        if a + b and a * wx + b * wy <= order
+    ]
+    longest = order // min(wx, wy)
+    scale = math.lcm(*range(1, longest + 1))
+    weight = {w: wt for w, _, wt in pieces}
+    level = {w: m for w, m, _ in pieces}
+    sums: dict = {}
+    for k in range(1, longest + 1):
+        step = (-1) ** (k + 1) * (scale // k)
+        following: dict = {}
+        for u, m in level.items():
+            sums[u] = sums.get(u, 0) + step * m
+            for v, mv, wv in pieces:
+                wt = weight[u] + wv
+                if wt <= order:
+                    w = u + v
+                    weight[w] = wt
+                    following[w] = following.get(w, 0) + math.comb(len(w), len(u)) * mv * m
+        level = following
+    return {w: Fraction(s, scale * math.factorial(len(w))) for w, s in sums.items() if s}
+
+
 def bch(x: TreeSeries, y: TreeSeries) -> TreeSeries:
-    """Baker-Campbell-Hausdorff product  log(exp(x) (o) exp(y))."""
-    return magnus(circle(exp(x), exp(y)) - x.unit_like())
+    """Baker-Campbell-Hausdorff product: the lam with exp(lam) = exp(x) (o) exp(y).
+
+    By the integration theorem for pre-Lie algebras, the group-like elements
+    under (o) form the BCH group of the Lie algebra with [a, b] = a*b - b*a,
+    so lam is the Lie series log(e^x e^y) in that bracket.  By
+    Dynkin-Specht-Wever its degree-n part is (1/n) sum_{|w|=n} c_w r(w), with
+    c_w from :func:`_log_word_coefficients` and r(w) = [w_1, [w_2, .., w_n]],
+    evaluated by Horner over word prefixes:
+
+        H(p) = sum_b c_{pb} / |pb| * b + sum_b [b, H(pb)],   lam = H(empty word).
+
+    A letter weighs the vertex count of its input's lightest tree; a prefix
+    is extended only while its letters leave room for one more under the
+    order, and H(p) keeps only the trees that still fit beside p's letters.
+    Each H(p) is formed once and dropped once its bracket is taken.  The
+    Magnus route  log(exp(x) (o) exp(y))  is the test oracle
+    ``bch_by_magnus`` in ``tests/helpers.py``.
+    """
+    for s in (x, y):
+        if s.unit:
+            raise DomainError("exponential needs a trivial weight-0 component")
+    x._check(y)
+    order = x.order
+    letters = {"x": x, "y": y}
+    # a zero input weighs more than the order, so its letter is never used
+    weights = {b: s.min_tree_weight() or order + 1 for b, s in letters.items()}
+    coeffs = _log_word_coefficients(weights, order)
+    lightest = min(weights.values())
+
+    def horner(prefix: str, used: int) -> TreeSeries:
+        out = x.zero_like()
+        n = len(prefix) + 1
+        for b, s in letters.items():
+            fill = used + weights[b]
+            if fill > order:
+                continue
+            c = coeffs.get(prefix + b)
+            if c:
+                out._iadd(s * (c / n))
+            if fill + lightest <= order:
+                out._iadd(bracket(s, horner(prefix + b, fill)))
+        out.terms = {t: c for t, c in out.terms.items() if t.nvertices <= order - used}
+        return out
+
+    return horner("", 0)
 
 
 def gauge_act(lam: TreeSeries, alpha: TreeSeries) -> TreeSeries:

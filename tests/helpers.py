@@ -21,7 +21,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from prelie import calculus
+from hypothesis import strategies as st
+
+from prelie import calculus, series
 from prelie.ainf import (
     Contraction,
     ConvElement,
@@ -304,6 +306,28 @@ def random_tree_series(symbols, order, rng, nterms=4, max_vertices=3, unit=None)
         terms[t] = terms.get(t, Fraction(0)) + rng.choice(COEFF_CHOICES)
     u = unit if unit is not None else rng.choice([0, 0, 1, -1])
     return TreeSeries(order, u, terms)
+
+
+@st.composite
+def labeled_trees(draw, nvertices):
+    """Hypothesis strategy: a tree on ``nvertices`` vertices labeled x or y."""
+    label = draw(st.sampled_from("xy"))
+    children, left = [], nvertices - 1
+    while left:
+        size = draw(st.integers(1, left))
+        children.append(draw(labeled_trees(size)))
+        left -= size
+    return LabeledTree(label, children)
+
+
+@st.composite
+def tree_series(draw, order, unit=0):
+    """Hypothesis strategy: one to three trees of at most 3 vertices."""
+    terms: dict = {}
+    for _ in range(draw(st.integers(1, 3))):
+        tree = draw(labeled_trees(draw(st.integers(1, min(order, 3)))))
+        terms[tree] = terms.get(tree, 0) + draw(st.sampled_from(COEFF_CHOICES))
+    return TreeSeries(order, unit, terms)
 
 
 def random_multi_op(space, arity, degree, rng, nentries=3):
@@ -593,6 +617,12 @@ def magnus_by_exp(a):
         if not defect.is_zero():
             lam = lam + defect
     return lam
+
+
+def bch_by_magnus(x: TreeSeries, y: TreeSeries) -> TreeSeries:
+    """BCH product  log(exp(x) (o) exp(y))  as one Magnus run on the whole
+    circle product, independent of the word table of ``series.bch``."""
+    return series.magnus(series.circle(series.exp(x), series.exp(y)) - x.unit_like())
 
 
 def assoc_log(f):

@@ -20,15 +20,18 @@ from helpers import (
     COEFF_CHOICES,
     acyclic_dga,
     assoc_log,
+    bch_by_magnus,
     circle_inverse_by_resolve,
     graft_by_pairs,
     grouplike_inverse_by_trees,
+    labeled_trees,
     magnus_by_exp,
     massey_dga,
     random_contraction,
     random_gauge_element,
     random_gauge_tower,
     random_grouplike,
+    tree_series,
 )
 from prelie import calculus
 from prelie import multicomplex as mcx
@@ -57,26 +60,6 @@ COEFFS = st.sampled_from(COEFF_CHOICES)
 CONV_SPACE = GradedSpace({0: 2, 1: 1, -1: 1})
 # every weight w of a gauge tower has degree 2w, so the degrees reach weight 4
 TOWER_SPACE = GradedSpace({0: 1, 2: 2, 4: 1, 6: 1, 8: 1})
-
-
-@st.composite
-def labeled_trees(draw, nvertices):
-    label = draw(st.sampled_from("xy"))
-    children, left = [], nvertices - 1
-    while left:
-        size = draw(st.integers(1, left))
-        children.append(draw(labeled_trees(size)))
-        left -= size
-    return LabeledTree(label, children)
-
-
-@st.composite
-def tree_series(draw, order, unit=0):
-    terms: dict = {}
-    for _ in range(draw(st.integers(1, 3))):
-        tree = draw(labeled_trees(draw(st.integers(1, min(order, 3)))))
-        terms[tree] = terms.get(tree, 0) + draw(COEFFS)
-    return TreeSeries(order, unit, terms)
 
 
 @st.composite
@@ -128,6 +111,32 @@ def test_grouplike_inverse_equals_tree_sum(b):
     # (1 - mu)^{(o) -1} = sum over unlabeled trees t of t(mu) / |Aut t|
     g = b.unit_like() + b
     assert grouplike_inverse(g) == grouplike_inverse_by_trees(g)
+
+
+@st.composite
+def bch_operands(draw):
+    """Two series at orders 1-6: unrelated, one of them zero, equal,
+    opposite, or both with no weight-1 part, so that the word table is cut by
+    the letters' weights and not only by the words' lengths."""
+    order = draw(st.integers(1, 6))
+    x, y = draw(tree_series(order)), draw(tree_series(order))
+    case = draw(st.sampled_from(["unrelated", "zero", "equal", "opposite", "heavy"]))
+    if case == "zero":
+        return draw(st.sampled_from([(x.zero_like(), y), (x, y.zero_like())]))
+    if case == "equal":
+        return x, x
+    if case == "opposite":
+        return x, -x
+    if case == "heavy":
+        return x - x.weight_component(1), y - y.weight_component(1)
+    return x, y
+
+
+@BUDGET
+@given(bch_operands())
+def test_bch_equals_magnus_route(operands):
+    x, y = operands
+    assert bch(x, y) == bch_by_magnus(x, y)
 
 
 def test_exp_of_bch_is_circle_of_exps_at_order_seven():

@@ -67,6 +67,11 @@ def test_bch_order_two(capsys):
     assert out.splitlines() == ["1 (x)", "1 (y)", "1/2 (x (y))", "-1/2 (y (x))"]
 
 
+def test_bch_of_a_generator_with_itself(capsys):
+    code, out, err = run(capsys, "prelie", "bch", "x", "x", "--order", "4")
+    assert (code, out, err) == (0, "2 (x)\n", "")
+
+
 def test_exp_magnus_round_trip(tmp_path, capsys):
     series_file = tmp_path / "input.txt"
     series_file.write_text("1 (a)\n-1/2 (a (a))\n")
@@ -615,6 +620,42 @@ def test_ainf_gauge_act_exact_output(tmp_path, capsys):
     code, out, err = run(capsys, "ainf", "gauge-act", str(infile), "--format", "json")
     expected = {**GAUGED, "maurer_cartan_preserved": True}
     assert (code, out, err) == (0, json.dumps(expected, indent=2, sort_keys=True) + "\n", "")
+
+
+def _non_integer_inputs():
+    """(verb, record, message): a string that is no integer where a JSON
+    integer is read; the message names the field."""
+    tower = mcx.tower_to_dict(acyclic_tower())
+    structure = element_to_dict(massey_dga()[0])
+    ops = [dict(op) for op in structure["operations"]]
+    ops[0]["arity"] = "x"
+    weights = [dict(op) for op in tower["operators"]]
+    weights[0]["weight"] = "x"
+    mc, ainf_mc = ["multicomplex", "mc-check"], ["ainf", "mc-check"]
+    return {
+        "degree": (ainf_mc, {**structure, "degree": "x"},
+                   "\"degree\" must be an integer, got 'x'"),
+        "arity": (ainf_mc, {**structure, "operations": ops},
+                  "bad operation record: \"arity\" must be an integer, got 'x'"),
+        "weight": (mc, {**tower, "operators": weights},
+                   "bad operator record: \"weight\" must be an integer, got 'x'"),
+        "dims-key": (mc, {**tower, "space": {"dims": {"x": 1}}},
+                     "bad space description: a degree must be an integer, got 'x'"),
+        "dims-null": (ainf_mc, {**structure, "space": {"dims": {"0": None}}},
+                      "bad space description: a dimension must be an integer, got None"),
+        # the truncation keeps its own message for a value that is no number
+        "truncation": (ainf_mc, {**structure, "truncation": "x"},
+                       "truncation must be a positive integer, got 'x'"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_non_integer_inputs()))
+def test_non_integer_json_field_exit_2(tmp_path, capsys, case):
+    verb, record, message = _non_integer_inputs()[case]
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(record))
+    code, out, err = run(capsys, *verb, str(infile))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def _digit_group_inputs():

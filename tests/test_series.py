@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import circle_by_braces, circle_pointed, dynkin_bch, random_tree_series
+from helpers import circle_by_braces, circle_pointed, dynkin_bch, random_tree_series, tree_series
 from prelie.errors import DomainError, ParseError, TruncationMismatch
 from prelie.series import (
     LabeledTree,
@@ -263,6 +264,15 @@ def test_bch_against_dynkin():
     assert bch(zero, y) == y
 
 
+def test_bch_error_contract():
+    x, y = gen("x"), gen("y")
+    for operands in ((one() + x, y), (x, one() * 2 + y)):
+        with pytest.raises(DomainError, match="exponential needs a trivial weight-0 component"):
+            bch(*operands)
+    with pytest.raises(TruncationMismatch):
+        bch(gen("x", 5), gen("y", 6))
+
+
 def test_gauge_act_is_exp_adjoint():
     # unit-free alpha: the flow identity lives below the adjoined unit
     rng = random.Random(12)
@@ -278,13 +288,12 @@ def test_gauge_act_is_exp_adjoint():
     assert gauge_act(TreeSeries.zero(N), gen("a")) == gen("a")
 
 
-def test_gauge_action_group_law():
-    rng = random.Random(13)
-    for _ in range(3):
-        lam = random_tree_series("lm", 5, rng, unit=0, nterms=2)
-        mu = random_tree_series("lm", 5, rng, unit=0, nterms=2)
-        alpha = random_tree_series("lm", 5, rng, unit=0, nterms=2)
-        assert gauge_act(mu, gauge_act(lam, alpha)) == gauge_act(bch(mu, lam), alpha)
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 5).flatmap(lambda order: st.tuples(*[tree_series(order)] * 3)))
+def test_gauge_action_group_law(operands):
+    # exp(mu) (o) exp(lam) = exp(bch(mu, lam)), on series that are no generators
+    mu, lam, alpha = operands
+    assert gauge_act(mu, gauge_act(lam, alpha)) == gauge_act(bch(mu, lam), alpha)
 
 
 def test_prelie_interchange_formula():
