@@ -87,37 +87,6 @@ class MultiOp(Combination):
         )
 
 
-def compose_at(f: MultiOp, g: MultiOp, j: int) -> MultiOp:
-    """Partial composition: plug g into the j-th input slot of f (1-based).
-
-    Koszul rule: moving the degree-|g| map past the first j-1 inputs costs
-    (-1)^(|g| * (sum of their degrees)).
-    """
-    if not 1 <= j <= f.arity:
-        raise BoundsError(f"insertion position {j} not in 1..{f.arity}")
-    if g.target != f.source:
-        raise ShapeError("inner operation does not land in the outer source")
-    out = MultiOp(
-        g.source if f.arity == 1 else f.source,
-        f.target,
-        f.arity + g.arity - 1,
-        f.degree + g.degree,
-    )
-    if f.arity > 1 and g.source != f.source:
-        raise ShapeError("mixed-space insertion needs an arity-1 outer map")
-    by_output = _by_output([g])
-    odd = g.degree % 2
-    for (fins, fout), fc in f.entries.items():
-        slot = fins[j - 1]
-        matches = by_output.get(slot)
-        if not matches:
-            continue
-        sign = -1 if odd and sum(b[0] for b in fins[: j - 1]) % 2 else 1
-        for gins, gc in matches:
-            add_into(out.entries, (fins[: j - 1] + gins + fins[j:], fout), sign * fc * gc)
-    return out
-
-
 def _by_output(ops) -> dict:
     """Output basis vector -> [(inputs, coeff)] over the entries of ``ops``,
     in their order."""
@@ -182,9 +151,6 @@ class ConvElement(Combination):
             raise DomainError("only endomorphism-type elements have a unit")
         return unit_element(self.source, self.truncation)
 
-    def zero_like(self) -> "ConvElement":
-        return ConvElement(self.source, self.target, self.truncation, self.degree)
-
     def weight_component(self, n: int) -> "ConvElement":
         out = self.zero_like()
         if n + 1 in self.components:
@@ -193,6 +159,9 @@ class ConvElement(Combination):
 
     def star(self, other: "ConvElement") -> "ConvElement":
         return star(self, other)
+
+    def circle(self, other: "ConvElement") -> "ConvElement":
+        return circle(self, other)
 
     def __repr__(self):
         return (
@@ -223,7 +192,8 @@ def star(f: ConvElement, g: ConvElement) -> ConvElement:
     Right-symmetric associator (pre-Lie); the unit is a left unit only.
     ``g`` must be an endomorphism-type element of f's source.  Each input
     slot of each entry of f reads the entries of g with that output from one
-    table, fewest inputs first, with the Koszul sign of :func:`compose_at`.
+    table, fewest inputs first.  Inserting g into slot j costs the Koszul
+    sign (-1)^(|g| * (sum of the degrees of the inputs before j)).
     """
     if not isinstance(g, ConvElement):
         raise TypeError(f"expected ConvElement, got {type(g).__name__}")
@@ -285,11 +255,6 @@ def circle(f: ConvElement, g: ConvElement) -> ConvElement:
     return out
 
 
-def circle_inverse(g: ConvElement) -> ConvElement:
-    """Circle inverse of a group-like element, solved weight by weight."""
-    return calculus.circle_inverse(g, circle)
-
-
 def mc_check(alpha: ConvElement) -> calculus.MCReport:
     """True iff  alpha * alpha = 0  up to the truncation arity; otherwise
     ``stage`` is the first bad arity.
@@ -326,4 +291,4 @@ def gauge_act(lam: ConvElement, alpha: ConvElement) -> ConvElement:
     report = mc_check(alpha)
     if not report.ok:
         raise DomainError(f"gauge_act needs a Maurer-Cartan element; fails at arity {report.stage}")
-    return circle(star(calculus.exp_series(lam), alpha), calculus.exp_series(-lam))
+    return calculus.gauge_act(lam, alpha)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import calculus
+from ..calculus import circle_inverse
 from ..errors import BoundsError, DomainError, InternalCheckError, ShapeError, ValidationError
 from ..combination import Combination, add_into
 from ..linalg import GradedMap, solve_stage, stage_rows
@@ -37,7 +38,6 @@ from .convolution import (
     ConvElement,
     MultiOp,
     circle,
-    circle_inverse,
     element_from_map,
     inf_morphism_check,
     mc_check,
@@ -54,11 +54,12 @@ class Contraction:
 
         p i = id,   i p - id = d h + h d,   h h = 0,   p h = 0,   h i = 0
 
-    are validated exactly at construction, as is d^2 = 0.  The induced
-    differential on the small space is ``p d i``.
+    are validated exactly at construction, as is d^2 = 0.  Construction also
+    forms the projector ``pi`` = i p onto the image of the small space and
+    the induced differential ``d_small`` = p d i on the small space.
     """
 
-    __slots__ = ("big", "small", "d", "incl", "proj", "h")
+    __slots__ = ("big", "small", "d", "incl", "proj", "h", "pi", "d_small")
 
     def __init__(self, big, small, d, incl, proj, h):
         self.big = big
@@ -68,6 +69,7 @@ class Contraction:
         self.proj = proj
         self.h = h
         self._validate()
+        self.d_small = proj.compose(d).compose(incl)
 
     def _validate(self):
         shapes = [
@@ -79,12 +81,13 @@ class Contraction:
         for gmap, source, target, degree, name in shapes:
             if gmap.source != source or gmap.target != target or gmap.degree != degree:
                 raise ValidationError(f"contraction map {name} has the wrong shape")
+        self.pi = self.incl.compose(self.proj)
         checks = [
             ("d d = 0", self.d.compose(self.d).is_zero()),
             ("p i = id", self.proj.compose(self.incl) == GradedMap.identity(self.small)),
             (
                 "i p - id = d h + h d",
-                self.incl.compose(self.proj) - GradedMap.identity(self.big)
+                self.pi - GradedMap.identity(self.big)
                 == self.d.compose(self.h) + self.h.compose(self.d),
             ),
             ("h h = 0", self.h.compose(self.h).is_zero()),
@@ -94,15 +97,6 @@ class Contraction:
         for name, ok in checks:
             if not ok:
                 raise ValidationError(f"contraction violates {name}")
-
-    @property
-    def pi(self) -> GradedMap:
-        """The projector i p onto the image of the small space."""
-        return self.incl.compose(self.proj)
-
-    @property
-    def d_small(self) -> GradedMap:
-        return self.proj.compose(self.d).compose(self.incl)
 
 
 # Unused by the library; kept while perfbench/spans.py patches its compose by name.
@@ -135,20 +129,6 @@ class TensorOperator(Combination):
         for (mids, outs), c2 in self.entries.items():
             for ins, c1 in by_output.get(mids, ()):
                 out.add_entry(ins, outs, c1 * c2)
-        return out
-
-    def tensor(self, other: "TensorOperator") -> "TensorOperator":
-        """Tensor product with the Koszul sign of ``other`` passing self's inputs."""
-        if self.space != other.space:
-            raise ShapeError("tensor factors live on different spaces")
-        out = TensorOperator(
-            self.space, self.arity + other.arity, self.degree + other.degree
-        )
-        odd = other.degree % 2
-        for (ins1, outs1), c1 in self.entries.items():
-            sign = -1 if odd and sum(b[0] for b in ins1) % 2 else 1
-            for (ins2, outs2), c2 in other.entries.items():
-                out.add_entry(ins1 + ins2, outs1 + outs2, c1 * c2 * sign)
         return out
 
 
@@ -388,37 +368,22 @@ def is_gauge_trivial(alpha: ConvElement, c: Contraction) -> bool:
 
 def find_trivializer(alpha: ConvElement) -> calculus.Trivialization:
     """Stage-wise solve of  f * delta = alpha (o) f  for f = 1 + f_(1) + ...
+    by :func:`calculus.trivialize`.
 
-    Stage n is the exact linear system  sum_j f_n o_j d - d o f_n =
-    RHS(f_(<n))  in the arity-n component.  :func:`linalg.stage_rows` reads
-    its matrix off the entries of d and :func:`linalg.solve_stage` solves it
-    by deterministic Gaussian elimination.  Success returns f and
-    its Magnus logarithm, so that the gauge action of the logarithm takes
-    the bare differential to alpha; f is checked against the
-    infinity-morphism equation, and a failure of that check is a library
-    bug and raises ``InternalCheckError``.  Failure reports the first
-    unsolvable arity and the unmatched residual.  A failure is not a proof
-    of non-triviality (earlier stage choices are greedy);
-    ``is_gauge_trivial`` is the decision procedure.
+    The stage in arity n is  sum_j f_n o_j d - d o f_n = RHS, whose matrix
+    :func:`linalg.stage_rows` reads off d.  A found f that fails the
+    infinity-morphism equation is a library bug and raises
+    ``InternalCheckError``.  A failure is not a proof of non-triviality
+    (earlier stage choices are greedy); ``is_gauge_trivial`` is the
+    decision procedure.
     """
     _require_mc(alpha)
     space = alpha.source
-    A = alpha.truncation
     d_op = alpha.component(1)
-    delta = ConvElement(space, space, A, -1, {1: d_op})
     d = GradedMap(space, space, d_op.degree,
                   {(*a, b[1]): c for ((a,), b), c in d_op.entries.items()})
-    f = unit_element(space, A)
-    for n in range(2, A + 1):
-        rhs_op = (circle(alpha, f) - star(f, delta)).component(n)
-        ok, entries, residual = solve_stage(*stage_rows(space, n, 0, d), rhs_op.entries)
-        if not ok:
-            return calculus.Trivialization(False, stage=n, residual=rhs_op._like(residual))
-        if entries:
-            fn = MultiOp(space, space, n, 0)
-            fn.entries = entries
-            f = f + ConvElement(space, space, A, 0, {n: fn})
-    if not inf_morphism_check(f, delta, alpha):
+    result = calculus.trivialize(
+        alpha, lambda n, rhs: solve_stage(*stage_rows(space, n, 0, d), rhs.entries))
+    if result.found and not inf_morphism_check(result.f, alpha.weight_component(0), alpha):
         raise InternalCheckError("find_trivializer: the isotopy found is no infinity-morphism")
-    return calculus.Trivialization(True, f=f, log=calculus.magnus_series(f - f.unit_like()))
-
+    return result

@@ -1,24 +1,26 @@
-"""Series calculus generic over weight-graded left-unital products.
+"""Series calculus and deformation theory generic over weight-graded products.
 
 The functions here work on any element type exposing
 
     +, -, unary -, scalar * (Fraction or int),
-    .star(other)          the product
+    .star(other)          the pre-Lie product
+    .circle(other)        the circle product, on group-like right factors
     .weight_component(n)  projection onto weight n
-    .max_weight           truncation bound (inclusive)
+    .max_weight           the top weight a component can have (inclusive)
     .unit_like()          the unit, same space/truncation
     .zero_like()
     .is_zero()
 
 Tree series, convolution elements, and operator towers all satisfy this
-protocol, taking the arithmetic and ``is_zero`` from
+protocol, taking the arithmetic, ``zero_like`` and ``is_zero`` from
 :class:`prelie.combination.Combination`, so the exponential, the
 Magnus-style logarithm, symmetric braces and circle-product inverses are
 implemented once.
 
-The deformation vocabulary shared by operator towers and convolution
-elements lives here too: the Maurer-Cartan report and the trivializer
-result.  Both name the failing component by its ``stage``, the key of that
+The deformation theory is written here once too: the Maurer-Cartan report,
+the gauge action, and the stage-wise trivializer with its result; operator
+towers are its associative case, where the circle product is the product.
+Reports name the failing component by its ``stage``, the key of that
 component: a weight for towers, an arity for convolution elements.
 """
 
@@ -153,8 +155,8 @@ def symmetric_brace(a, args):
     return out
 
 
-def circle_inverse(g, circle):
-    """Inverse of a group-like element for the given circle product.
+def circle_inverse(g):
+    """Inverse of a group-like element for its circle product.
 
     Solved weight by weight from  x (o) g = unit.  The product is linear in
     x, so ``acc`` keeps  x_(<n) (o) g, starting from  unit (o) g = g: the
@@ -170,5 +172,38 @@ def circle_inverse(g, circle):
         x_n = (unit - acc).weight_component(n)
         if not x_n.is_zero():
             x = x + x_n
-            acc = acc + circle(x_n, g)
+            acc = acc + x_n.circle(g)
     return x
+
+
+def gauge_act(lam, alpha):
+    """Gauge action  (e^lam * alpha) (o) e^{-lam}  of a weight-0-free lam."""
+    return exp_series(lam).star(alpha).circle(exp_series(-lam))
+
+
+def trivialize(alpha, solve) -> Trivialization:
+    """Solve  f * delta = alpha (o) f  for a group-like f = 1 + f_1 + ...,
+    delta the weight-0 component of ``alpha``, one weight at a time.
+
+    With f = f_(<n), the weight-n part of  alpha (o) f - f * delta  is the
+    right-hand side of a linear equation in f_n; a zero one is solved by
+    f_n = 0.  Otherwise ``solve(stage, rhs)`` gets its one component and
+    that component's key in ``.components``, and returns ``(ok, entries,
+    residual)``: the entries of f_n there, and the unmatched part of
+    ``rhs`` when the stage has no solution, which ends the search.
+    Success returns f and its logarithm, whose gauge action takes delta
+    to alpha.
+    """
+    delta = alpha.weight_component(0)
+    f = alpha.unit_like()
+    for n in range(1, alpha.max_weight + 1):
+        rhs = (alpha.circle(f) - f.star(delta)).weight_component(n)
+        if rhs.is_zero():
+            continue
+        ((stage, want),) = rhs.components.items()
+        ok, entries, residual = solve(stage, want)
+        if not ok:
+            return Trivialization(False, stage=stage, residual=want._like(residual))
+        f_n = f.component(stage)._like(entries)  # f has no component at stage yet
+        f = f + f._like({stage: f_n})
+    return Trivialization(True, f=f, log=magnus_series(f - f.unit_like()))

@@ -77,6 +77,10 @@ class Combination:
         setattr(out, self._store, coeffs)
         return out
 
+    def zero_like(self):
+        """The zero element of the same shape."""
+        return self._like({})
+
     def _check(self, other) -> None:
         if type(other) is not type(self):
             raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")

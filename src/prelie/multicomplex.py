@@ -6,7 +6,8 @@ condition  sum_{i+j=n} d_i d_j = 0  is the Maurer-Cartan equation of the
 associative convolution product implemented by :func:`star`.  Gauge towers
 carry degree 2n per weight, exponentiate classically, and act on structure
 towers by conjugation.  ``trivialize`` solves  f * delta = alpha * f  stage
-by stage with exact Gaussian elimination.
+by stage with exact Gaussian elimination.  Both come from :mod:`calculus`,
+of which towers are the associative case.
 
 Degree convention: weight n of a structure tower has degree 2n - 1 (the
 weight-0 slot holds the degree -1 differential).  Other gradings can be
@@ -79,15 +80,16 @@ class OperatorTower(Combination):
 
     @property
     def max_weight(self) -> int:
-        return self.truncation
+        """The truncation, or the top weight whose degree 2n + offset a map
+        of the space into itself can have, if that is lower: above it every
+        component is zero, whatever the truncation."""
+        degrees = self.space.dims
+        span = max(degrees) - min(degrees) if degrees else 0
+        return min(self.truncation, (span - self.offset) // 2)
 
     def unit_like(self) -> "OperatorTower":
-        if self.offset != GAUGE:
-            raise DomainError("only gauge-type towers have a unit")
+        """The gauge-type unit, whatever the offset of ``self``."""
         return unit_tower(self.space, self.truncation)
-
-    def zero_like(self) -> "OperatorTower":
-        return OperatorTower(self.space, self.truncation, self.offset)
 
     def weight_component(self, n: int) -> "OperatorTower":
         out = OperatorTower(self.space, self.truncation, self.offset)
@@ -96,6 +98,10 @@ class OperatorTower(Combination):
         return out
 
     def star(self, other: "OperatorTower") -> "OperatorTower":
+        return star(self, other)
+
+    def circle(self, other: "OperatorTower") -> "OperatorTower":
+        # associative: every symmetric brace of arity >= 2 vanishes, so (o) is *
         return star(self, other)
 
     def __repr__(self):
@@ -161,10 +167,12 @@ def log_assoc(f: OperatorTower) -> OperatorTower:
 
 
 def conjugate(lam: OperatorTower, alpha: OperatorTower) -> OperatorTower:
-    """Gauge action  e^lam * alpha * e^{-lam}."""
+    """Gauge action  e^lam * alpha * e^{-lam}, by :func:`calculus.gauge_act`."""
     if not lam.weight_component(0).is_zero():
         raise DomainError("gauge parameter must have zero weight-0 part")
-    return star(star(exp_assoc(lam), alpha), exp_assoc(-lam))
+    if lam.offset != GAUGE:
+        raise DomainError("exp expects a gauge-type tower")
+    return calculus.gauge_act(lam, alpha)
 
 
 def isotopy_check(f: OperatorTower, alpha: OperatorTower, beta: OperatorTower) -> bool:
@@ -172,12 +180,6 @@ def isotopy_check(f: OperatorTower, alpha: OperatorTower, beta: OperatorTower) -
     if f.component(0) != GradedMap.identity(f.space):
         raise DomainError("an isotopy must have the identity in weight 0")
     return star(f, alpha) == star(beta, f)
-
-
-def _delta_only(alpha: OperatorTower) -> OperatorTower:
-    return OperatorTower(
-        alpha.space, alpha.truncation, STRUCTURE, {0: alpha.component(0)}
-    )
 
 
 def _arity_one(gmap: GradedMap) -> dict:
@@ -193,38 +195,27 @@ def _tower_keys(entries: dict) -> dict:
 
 def trivialize(alpha: OperatorTower) -> calculus.Trivialization:
     """Solve  f * delta = alpha * f  for an isotopy f = 1 + f_(1) + ...
+    by :func:`calculus.trivialize`.
 
-    Each stage is the exact linear system  f_(n) d - d f_(n) = RHS(f_(<n)),
-    the arity-1 case of the A-infinity stage: :func:`linalg.stage_rows`
-    reads its matrix off the entries of d, keying each entry ``(s, i, t)`` of
-    a graded map as an arity-1 entry, and :func:`linalg.solve_stage` solves
-    it by deterministic Gaussian elimination; any particular solution is
-    accepted.  On an unsolvable stage the result carries the stage weight
-    and the unmatched residual.  A found isotopy is checked against
-    ``f * delta == alpha * f``; a failure of that check is a library bug and
+    The stage at weight n is  f_(n) d - d f_(n) = RHS, the arity-1 case of
+    the A-infinity stage: :func:`linalg.stage_rows` reads its matrix off d,
+    keying each entry ``(s, i, t)`` of a graded map as an arity-1 entry.  A
+    found isotopy that fails  f * delta == alpha * f  is a library bug and
     raises ``InternalCheckError``.
     """
     report = mc_check(alpha)
     if not report.ok:
         raise DomainError(f"trivialize needs a Maurer-Cartan tower; fails at weight {report.stage}")
-    space = alpha.space
-    d = alpha.component(0)
-    delta = _delta_only(alpha)
-    f = unit_tower(space, alpha.truncation)
-    for n in range(1, alpha.truncation + 1):
-        rhs_map = (star(alpha, f) - star(f, delta)).component(n)
-        if rhs_map.is_zero():
-            continue
-        ok, entries, residual = solve_stage(*stage_rows(space, 1, 2 * n, d), _arity_one(rhs_map))
-        if not ok:
-            return calculus.Trivialization(
-                False, stage=n, residual=rhs_map._like(_tower_keys(residual)))
-        fn = GradedMap(space, space, 2 * n)
-        fn.entries = _tower_keys(entries)
-        f = f + OperatorTower(space, alpha.truncation, GAUGE, {n: fn})
-    if not isotopy_check(f, delta, alpha):
+    space, d = alpha.space, alpha.component(0)
+
+    def solve(n, rhs):
+        ok, entries, residual = solve_stage(*stage_rows(space, 1, 2 * n, d), _arity_one(rhs))
+        return ok, _tower_keys(entries), _tower_keys(residual)
+
+    result = calculus.trivialize(alpha, solve)
+    if result.found and not isotopy_check(result.f, alpha.weight_component(0), alpha):
         raise InternalCheckError("trivialize: the isotopy found fails f * delta == alpha * f")
-    return calculus.Trivialization(True, f=f, log=log_assoc(f))
+    return result
 
 
 # -- JSON interchange ----------------------------------------------------------

@@ -77,9 +77,6 @@ class TreeSeries(Combination):
     def unit_like(self) -> "TreeSeries":
         return TreeSeries.one(self.order)
 
-    def zero_like(self) -> "TreeSeries":
-        return TreeSeries.zero(self.order)
-
     def weight_component(self, n: int) -> "TreeSeries":
         if n == 0:
             return TreeSeries(self.order, unit=self.unit)
@@ -93,6 +90,9 @@ class TreeSeries(Combination):
 
     def star(self, other: "TreeSeries") -> "TreeSeries":
         return graft(self, other)
+
+    def circle(self, other: "TreeSeries") -> "TreeSeries":
+        return circle(self, other)
 
     # -- arithmetic: the unit part on top of the tree combination -----------
 
@@ -295,7 +295,7 @@ def grouplike_inverse(g: TreeSeries) -> TreeSeries:
     weight from  x (o) g = 1; it equals the closed tree sum
     sum_t t(mu) / |Aut t|  over unlabeled rooted trees t (a tested identity)."""
     _require_grouplike(g)
-    return calculus.circle_inverse(g, circle)
+    return calculus.circle_inverse(g)
 
 
 def _log_word_coefficients(weights: dict, order: int) -> dict:
@@ -385,7 +385,7 @@ def bch(x: TreeSeries, y: TreeSeries) -> TreeSeries:
 
 def gauge_act(lam: TreeSeries, alpha: TreeSeries) -> TreeSeries:
     """Gauge action  (exp(lam) * alpha) (o) exp(-lam)  =  e^{ad_lam}(alpha)."""
-    return circle(graft(exp(lam), alpha), exp(-lam))
+    return calculus.gauge_act(lam, alpha)
 
 
 def eval_tree(tree: LabeledTree, values):

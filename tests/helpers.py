@@ -30,7 +30,6 @@ from prelie.ainf import (
     MultiOp,
     TensorOperator,
     circle,
-    compose_at,
     element_from_map,
     h_push,
     star,
@@ -38,7 +37,7 @@ from prelie.ainf import (
 )
 from prelie.ainf.transfer import _abar, _phi, _psi, _r_operator
 from prelie.combination import add_into
-from prelie.errors import DomainError, ShapeError
+from prelie.errors import BoundsError, DomainError, ShapeError
 from prelie.linalg import GradedMap, GradedSpace
 from prelie.series import LabeledTree, TreeSeries, bracket, eval_tree
 from prelie.trees import Levelization, aut_order, enumerate_trees, forest_structure
@@ -753,6 +752,35 @@ def solve_sparse_by_scan(rows, rhs, nvars):
     return consistent, solution
 
 
+def compose_at(f: MultiOp, g: MultiOp, j: int) -> MultiOp:
+    """Partial composition: plug g into the j-th input slot of f (1-based).
+
+    Koszul rule: moving the degree-|g| map past the first j-1 inputs costs
+    (-1)^(|g| * (sum of their degrees)).
+    """
+    if not 1 <= j <= f.arity:
+        raise BoundsError(f"insertion position {j} not in 1..{f.arity}")
+    if g.target != f.source:
+        raise ShapeError("inner operation does not land in the outer source")
+    out = MultiOp(
+        g.source if f.arity == 1 else f.source,
+        f.target,
+        f.arity + g.arity - 1,
+        f.degree + g.degree,
+    )
+    if f.arity > 1 and g.source != f.source:
+        raise ShapeError("mixed-space insertion needs an arity-1 outer map")
+    by_output: dict = {}
+    for (gins, gout), gc in g.entries.items():
+        by_output.setdefault(gout, []).append((gins, gc))
+    odd = g.degree % 2
+    for (fins, fout), fc in f.entries.items():
+        sign = -1 if odd and sum(b[0] for b in fins[: j - 1]) % 2 else 1
+        for gins, gc in by_output.get(fins[j - 1], ()):
+            add_into(out.entries, (fins[: j - 1] + gins + fins[j:], fout), sign * fc * gc)
+    return out
+
+
 def stage_operator(fn, d_op):
     """sum_j fn o_j d  -  d o fn: the map each ``find_trivializer`` stage
     solves, applied to one operation by partial compositions."""
@@ -863,6 +891,19 @@ def tensor_identity(space: GradedSpace, arity: int):
     out = TensorOperator(space, arity, 0)
     for ins in itertools.product(space.basis(), repeat=arity):
         out.add_entry(ins, ins, Fraction(1))
+    return out
+
+
+def tensor(a: TensorOperator, b: TensorOperator) -> TensorOperator:
+    """Tensor product  a x b  with the Koszul sign of b passing a's inputs."""
+    if a.space != b.space:
+        raise ShapeError("tensor factors live on different spaces")
+    out = TensorOperator(a.space, a.arity + b.arity, a.degree + b.degree)
+    odd = b.degree % 2
+    for (ins1, outs1), c1 in a.entries.items():
+        sign = -1 if odd and sum(x[0] for x in ins1) % 2 else 1
+        for (ins2, outs2), c2 in b.entries.items():
+            out.add_entry(ins1 + ins2, outs1 + outs2, c1 * c2 * sign)
     return out
 
 

@@ -23,6 +23,7 @@ from helpers import (
     oracle_tree_shapes,
     sym_homotopy,
     tech_r_check,
+    tensor,
     tensor_from_factors,
     tensor_identity,
     tree_to_ahu,
@@ -189,10 +190,10 @@ def test_criterion_09_homotopy_symmetrization_identities():
             for q in range(1, 6 - p):
                 hp, hq = sym_homotopy(c, p), sym_homotopy(c, q)
                 lhs = (
-                    hp.tensor(tensor_identity(c.big, q))
-                    - tensor_identity(c.big, p).tensor(hq)
+                    tensor(hp, tensor_identity(c.big, q))
+                    - tensor(tensor_identity(c.big, p), hq)
                 ).compose(sym_homotopy(c, p + q))
-                assert lhs == hp.tensor(hq)
+                assert lhs == tensor(hp, hq)
     assert binomial_identities_check(6)
     _report(9, "symmetrized-homotopy identities (p+q <= 5, 10 contractions) and binomials <= 6")
 

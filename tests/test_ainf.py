@@ -11,6 +11,7 @@ from helpers import (
     acyclic_dga,
     circle_by_braces,
     circle_by_splits,
+    compose_at,
     formal_dga,
     line_dga,
     massey_dga,
@@ -26,7 +27,6 @@ from prelie.ainf import (
     MultiOp,
     circle,
     circle_inverse,
-    compose_at,
     element_from_dict,
     element_from_map,
     element_to_dict,

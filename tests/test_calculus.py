@@ -99,7 +99,7 @@ def test_magnus_equals_exp_route_on_tree_series(a):
 @given(st.integers(1, 6).flatmap(lambda order: tree_series(order)))
 def test_circle_inverse_equals_resolve_on_tree_series(b):
     g = b.unit_like() + b
-    inv = calculus.circle_inverse(g, circle)
+    inv = calculus.circle_inverse(g)
     assert inv == circle_inverse_by_resolve(g, circle)
     assert circle(inv, g) == g.unit_like()
     assert grouplike_inverse(g) == inv

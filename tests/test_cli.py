@@ -787,3 +787,34 @@ def test_ainf_truncation_above_bound_exit_2(tmp_path, capsys, case):
     assert (code, out, err) == (2, "", "error: truncation arity must be <= 8, got 9\n")
     code, out, err = run(capsys, *verb[:2], str(infile), "--truncation", "8")
     assert (code, err) == (0, "")
+
+
+def _without_truncation(value):
+    """A JSON value with every ``"truncation"`` field taken out."""
+    if isinstance(value, dict):
+        return {k: _without_truncation(v) for k, v in value.items() if k != "truncation"}
+    if isinstance(value, list):
+        return [_without_truncation(v) for v in value]
+    return value
+
+
+def test_towers_need_no_truncation_bound(tmp_path, capsys):
+    # a weight-n component has degree 2n + offset, so above half the degree
+    # span of the space every component is zero, and the verbs stop there
+    tower = mcx.tower_to_dict(acyclic_tower())
+    conjugation = {
+        "space": tower["space"],
+        "truncation": tower["truncation"],
+        "alpha": {"operators": tower["operators"]},
+        "gauge": {"operators": [{"weight": 1, "entries": [[0, 0, 0, "1/2"]]}]},
+    }
+    for verb, record in (("trivialize", tower), ("conjugate", conjugation), ("mc-check", tower)):
+        f = tmp_path / f"{verb}.json"
+        f.write_text(json.dumps(record))
+        code, small, _ = run(capsys, "multicomplex", verb, str(f), "--format", "json")
+        assert code == 0
+        code, huge, _ = run(capsys, "multicomplex", verb, str(f), "--format", "json",
+                            "--truncation", "1000000000")
+        assert code == 0
+        assert _without_truncation(json.loads(huge)) == _without_truncation(json.loads(small))
+        assert huge.count('"truncation": 1000000000') == small.count('"truncation": 4')

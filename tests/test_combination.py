@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import compose_at
 from prelie import multicomplex as mcx
-from prelie.ainf import ConvElement, MultiOp, TensorOperator, compose_at, star
+from prelie.ainf import ConvElement, MultiOp, TensorOperator, star
 from prelie.combination import Combination, add_into
 from prelie.errors import ShapeError, TruncationMismatch
 from prelie.linalg import GradedMap, GradedSpace

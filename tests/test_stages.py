@@ -225,7 +225,7 @@ def test_stage_sizes_the_benchmark_records(monkeypatch):
     _alpha, c = massey_dga(truncation=4)
     gauged = gauge_act(random_gauge_element(c.big, 4, random.Random(5)), element_from_map(c.d, 4))
     assert find_trivializer(gauged).found
-    assert sizes == [(23, 96), (101, 448), (431, 2048)]
+    assert sizes == [(101, 448), (431, 2048)]
 
 
 def _zero_solver(rows, rhs, nvars):

@@ -24,6 +24,7 @@ from helpers import (
     random_gauge_element,
     sym_homotopy,
     tech_r_check,
+    tensor,
     tensor_from_factors,
     tensor_identity,
 )
@@ -100,7 +101,7 @@ def test_sym_homotopy_staircase_identity():
                     tensor_from_factors([c.h] * k + [ident])
                 )
                 if l:
-                    middle = middle.tensor(tensor_from_factors([c.pi] * l))
+                    middle = tensor(middle, tensor_from_factors([c.pi] * l))
                 right = tensor_from_factors(
                     [c.h] * (k + 1) + [c.pi] * l, Fraction((-1) ** k, k + 1)
                 )
@@ -118,10 +119,10 @@ def test_sym_homotopy_splitting_identity():
                     continue
                 hp, hq = sym_homotopy(c, p), sym_homotopy(c, q)
                 lhs = (
-                    hp.tensor(tensor_identity(c.big, q))
-                    - tensor_identity(c.big, p).tensor(hq)
+                    tensor(hp, tensor_identity(c.big, q))
+                    - tensor(tensor_identity(c.big, p), hq)
                 ).compose(sym_homotopy(c, p + q))
-                assert lhs == hp.tensor(hq)
+                assert lhs == tensor(hp, hq)
 
 
 # built once, so that the materialized h_n of the oracle is cached per contraction
