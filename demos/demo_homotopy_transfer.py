@@ -6,7 +6,8 @@ basis elements x, y, z, u (odd) and e, w (even, one degree lower on the
 desuspended space), with du = e, xy = e, uz = w.  On homology the product
 vanishes, but the secondary operation <x, y, z> = [w] survives: the
 transferred arity-3 operation is nonzero, so the structure is not gauge
-trivial, and the stage-wise trivializer search hits an exact obstruction.
+trivial, and the trivializer, which twists by the same two gauges, names
+the obstruction exactly.
 
 Everything is driven by the two group-like kernels
     Phi = 1 + (h abar) o Phi      and      Psi = 1 - h^*(Psi * abar),
@@ -78,7 +79,7 @@ b3 = result.beta.component(3)
 print("\ntransferred arity-3 operation on ([x],[y],[z]):", multiop_to_dict(b3)["entries"])
 print("gauge trivial:", is_gauge_trivial(alpha, c))
 attempt = find_trivializer(alpha)
-print(f"stage-wise trivializer search fails at arity {attempt.stage} "
+print(f"the trivializer finds the obstruction at arity {attempt.stage} "
       f"with residual {multiop_to_dict(attempt.residual)['entries']}")
 
 # contrast: same shape of algebra but with the Massey product disarmed
@@ -87,4 +88,4 @@ b2f[(X, Y), E] = -1
 formal = ConvElement(big, big, A, -1, {1: b1, 2: b2f})
 print("\ndropping uz = w gives a gauge-trivial structure:",
       is_gauge_trivial(formal, c))
-print("and the trivializer search now succeeds:", find_trivializer(formal).found)
+print("and the trivializer now finds an isotopy:", find_trivializer(formal).found)

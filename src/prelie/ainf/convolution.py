@@ -264,6 +264,9 @@ def mc_check(alpha: ConvElement) -> calculus.MCReport:
     """
     if alpha.degree != -1:
         raise DomainError("mc_check expects a structure-kind element (degree -1)")
+    if alpha.source != alpha.target:
+        raise ShapeError(f'a structure maps one space to itself, but its "space" has dims '
+                         f'{alpha.source.dims} and its "target_space" {alpha.target.dims}')
     return calculus.mc_report(alpha)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..combination import add_into
 from ..errors import BoundsError, ValidationError
-from ..linalg import GradedSpace
+from ..linalg import Contraction, GradedSpace
 from ..multicomplex import (
     json_coeff,
     json_int,
@@ -27,10 +27,9 @@ from ..multicomplex import (
     space_to_dict,
 )
 from .convolution import ConvElement, MultiOp
-from .transfer import Contraction
 
-# bound on the truncation arity of an element read from JSON: transfer and
-# find_trivializer take seconds at 8 and grow about fivefold per arity
+# bound on the truncation arity of an element read from JSON: transfer takes
+# seconds at 8 and grows about fivefold per arity (trivialize: about 1 s at 8)
 MAX_TRUNCATION = 8
 
 

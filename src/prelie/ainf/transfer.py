@@ -18,8 +18,10 @@ extended inclusion, and extended projection are
     beta = delta_H + p (abar (o) Phi) i,   i_inf = Phi (o) i,   p_inf = p (o) Psi.
 
 ``transfer`` verifies the defining identities exactly and reports them by
-name.  ``is_gauge_trivial`` decides triviality through the transferred
-structure; ``find_trivializer`` is the constructive stage-wise companion.
+name.  The same gauges decide triviality (:func:`calculus.trivialize`):
+``is_gauge_trivial`` for a given contraction onto the homology, and
+``find_trivializer``, which also returns the isotopy, for the one of
+:func:`linalg.contraction_of`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .. import calculus
 from ..calculus import circle_inverse
 from ..errors import BoundsError, DomainError, InternalCheckError, ShapeError, ValidationError
 from ..combination import Combination, add_into
-from ..linalg import GradedMap, solve_stage, stage_rows
+from ..linalg import Contraction, GradedMap, contraction_of
 from .convolution import (
     ConvElement,
     MultiOp,
@@ -44,59 +46,6 @@ from .convolution import (
     star,
     unit_element,
 )
-
-
-class Contraction:
-    """A homotopy retract (i, p, h) of ``big`` onto ``small`` with side conditions.
-
-    ``d`` is the differential of the big space (degree -1); the five defining
-    identities
-
-        p i = id,   i p - id = d h + h d,   h h = 0,   p h = 0,   h i = 0
-
-    are validated exactly at construction, as is d^2 = 0.  Construction also
-    forms the projector ``pi`` = i p onto the image of the small space and
-    the induced differential ``d_small`` = p d i on the small space.
-    """
-
-    __slots__ = ("big", "small", "d", "incl", "proj", "h", "pi", "d_small")
-
-    def __init__(self, big, small, d, incl, proj, h):
-        self.big = big
-        self.small = small
-        self.d = d
-        self.incl = incl
-        self.proj = proj
-        self.h = h
-        self._validate()
-        self.d_small = proj.compose(d).compose(incl)
-
-    def _validate(self):
-        shapes = [
-            (self.d, self.big, self.big, -1, "d"),
-            (self.incl, self.small, self.big, 0, "i"),
-            (self.proj, self.big, self.small, 0, "p"),
-            (self.h, self.big, self.big, 1, "h"),
-        ]
-        for gmap, source, target, degree, name in shapes:
-            if gmap.source != source or gmap.target != target or gmap.degree != degree:
-                raise ValidationError(f"contraction map {name} has the wrong shape")
-        self.pi = self.incl.compose(self.proj)
-        checks = [
-            ("d d = 0", self.d.compose(self.d).is_zero()),
-            ("p i = id", self.proj.compose(self.incl) == GradedMap.identity(self.small)),
-            (
-                "i p - id = d h + h d",
-                self.pi - GradedMap.identity(self.big)
-                == self.d.compose(self.h) + self.h.compose(self.d),
-            ),
-            ("h h = 0", self.h.compose(self.h).is_zero()),
-            ("p h = 0", self.proj.compose(self.h).is_zero()),
-            ("h i = 0", self.h.compose(self.incl).is_zero()),
-        ]
-        for name, ok in checks:
-            if not ok:
-                raise ValidationError(f"contraction violates {name}")
 
 
 # Unused by the library; kept while perfbench/spans.py patches its compose by name.
@@ -234,14 +183,7 @@ def _phi(abar: ConvElement, c: Contraction) -> ConvElement:
 
 
 def _psi(abar: ConvElement, c: Contraction) -> ConvElement:
-    psi = unit_element(abar.source, abar.truncation)
-    term = psi
-    for _ in range(psi.max_weight):
-        term = _r_operator(term, abar, c)
-        if term.is_zero():
-            break
-        psi = psi + term
-    return psi
+    return calculus.psi_series(abar, lambda y: h_star(y, c))
 
 
 def _hat(alpha: ConvElement, phi_inv: ConvElement, phi: ConvElement) -> ConvElement:
@@ -264,10 +206,6 @@ def psi_kernel(alpha: ConvElement, c: Contraction) -> ConvElement:
     sum is finite per arity.
     """
     return _psi(_abar(alpha, c), c)
-
-
-def _r_operator(x: ConvElement, abar: ConvElement, c: Contraction) -> ConvElement:
-    return h_star(star(x, abar), c) * -1
 
 
 def alpha_hat(alpha: ConvElement, c: Contraction) -> ConvElement:
@@ -353,37 +291,39 @@ def transfer(alpha: ConvElement, c: Contraction) -> TransferResult:
     return result
 
 
-def is_gauge_trivial(alpha: ConvElement, c: Contraction) -> bool:
-    """Decide triviality through the transferred structure.
+def _twist(alpha: ConvElement, c: Contraction) -> calculus.Trivialization:
+    """:func:`calculus.trivialize` with the homotopy of ``c`` and its
+    symmetrized pullback :func:`h_star`."""
+    return calculus.trivialize(
+        alpha, element_from_map(c.h, alpha.truncation), lambda y: h_star(y, c))
 
-    Requires the contraction to land on the homology (zero induced
-    differential); the structure is gauge trivial iff every transferred
-    operation above the differential vanishes.
-    """
+
+def is_gauge_trivial(alpha: ConvElement, c: Contraction) -> bool:
+    """Decide triviality by the two gauges of a contraction onto the
+    homology (zero induced differential): the structure is gauge trivial
+    iff its transfer is trivial above the differential."""
     if not c.d_small.is_zero():
         raise DomainError("the contraction must be onto the homology (d_small = 0)")
-    beta = transfer(alpha, c).beta
-    return all(arity == 1 for arity in beta.components)
+    _abar(alpha, c)
+    return _twist(alpha, c).found
 
 
 def find_trivializer(alpha: ConvElement) -> calculus.Trivialization:
-    """Stage-wise solve of  f * delta = alpha (o) f  for f = 1 + f_(1) + ...
-    by :func:`calculus.trivialize`.
+    """Decide whether a Maurer-Cartan structure is gauge trivial, and find
+    f = 1 + f_(1) + ... with  f * delta = alpha (o) f  if it is.
 
-    The stage in arity n is  sum_j f_n o_j d - d o f_n = RHS, whose matrix
-    :func:`linalg.stage_rows` reads off d.  A found f that fails the
-    infinity-morphism equation is a library bug and raises
-    ``InternalCheckError``.  A failure is not a proof of non-triviality
-    (earlier stage choices are greedy); ``is_gauge_trivial`` is the
-    decision procedure.
+    :func:`calculus.trivialize` twists ``alpha`` by the gauges of the
+    contraction of delta from :func:`linalg.contraction_of`; a NOT FOUND is
+    exact and names the lowest arity where the twisted structure differs
+    from delta.  A found f that fails the infinity-morphism equation is a
+    library bug and raises ``InternalCheckError``.
     """
     _require_mc(alpha)
     space = alpha.source
     d_op = alpha.component(1)
     d = GradedMap(space, space, d_op.degree,
                   {(*a, b[1]): c for ((a,), b), c in d_op.entries.items()})
-    result = calculus.trivialize(
-        alpha, lambda n, rhs: solve_stage(*stage_rows(space, n, 0, d), rhs.entries))
+    result = _twist(alpha, contraction_of(space, d))
     if result.found and not inf_morphism_check(result.f, alpha.weight_component(0), alpha):
         raise InternalCheckError("find_trivializer: the isotopy found is no infinity-morphism")
     return result

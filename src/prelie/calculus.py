@@ -18,8 +18,10 @@ Magnus-style logarithm, symmetric braces and circle-product inverses are
 implemented once.
 
 The deformation theory is written here once too: the Maurer-Cartan report,
-the gauge action, and the stage-wise trivializer with its result; operator
-towers are its associative case, where the circle product is the product.
+the gauge action, and the trivializer with its result, which twists a
+structure by the two gauges of a contraction onto the homology and so
+decides gauge triviality; operator towers are its associative case, where
+the circle product is the product.
 Reports name the failing component by its ``stage``, the key of that
 component: a weight for towers, an arity for convolution elements.
 """
@@ -63,7 +65,8 @@ def mc_report(alpha) -> MCReport:
 @dataclass
 class Trivialization:
     """Either an isotopy f trivializing a structure, with its logarithm, or
-    the first stage whose linear system has no solution and its residual."""
+    the lowest stage where the structure, twisted towards its homology,
+    still differs from its differential, with that component as residual."""
 
     found: bool
     f: Any = None
@@ -181,29 +184,41 @@ def gauge_act(lam, alpha):
     return exp_series(lam).star(alpha).circle(exp_series(-lam))
 
 
-def trivialize(alpha, solve) -> Trivialization:
-    """Solve  f * delta = alpha (o) f  for a group-like f = 1 + f_1 + ...,
-    delta the weight-0 component of ``alpha``, one weight at a time.
+def psi_series(abar, pullback):
+    """The input-restricting kernel  Psi = 1 + R(1) + R^2(1) + ...  with
+    R(x) = -h^*(x * abar), ``pullback`` being h^*; each application of R
+    raises the weight, so the sum is finite."""
+    psi = abar.unit_like()
+    term = psi
+    for _ in range(psi.max_weight):
+        term = pullback(term.star(abar)) * -1
+        if term.is_zero():
+            break
+        psi = psi + term
+    return psi
 
-    With f = f_(<n), the weight-n part of  alpha (o) f - f * delta  is the
-    right-hand side of a linear equation in f_n; a zero one is solved by
-    f_n = 0.  Otherwise ``solve(stage, rhs)`` gets its one component and
-    that component's key in ``.components``, and returns ``(ok, entries,
-    residual)``: the entries of f_n there, and the unmatched part of
-    ``rhs`` when the stage has no solution, which ends the search.
-    Success returns f and its logarithm, whose gauge action takes delta
-    to alpha.
+
+def trivialize(alpha, h, pullback) -> Trivialization:
+    """Decide whether ``alpha`` is gauge trivial, and build f with
+    f * delta = alpha (o) f  if it is, delta the weight-0 part of ``alpha``.
+
+    ``h`` is the homotopy of a contraction of delta onto its homology, as a
+    weight-0 element, and ``pullback`` is h^*.  Phi^{-1} = 1 - h * abar
+    restricts the outputs of alpha-hat = (Phi^{-1} * alpha) (o) Phi  to the
+    homology, and Psi, the :func:`psi_series` of alpha-hat, its inputs.  By
+    the transfer theorem alpha is gauge trivial iff G = Psi (o) Phi^{-1}
+    takes it to delta; then f = G^{-1}, with the logarithm whose gauge
+    action takes delta to alpha.  Otherwise the lowest stage where
+    (G * alpha) (o) G^{-1} differs from delta is named, with that component.
     """
     delta = alpha.weight_component(0)
-    f = alpha.unit_like()
-    for n in range(1, alpha.max_weight + 1):
-        rhs = (alpha.circle(f) - f.star(delta)).weight_component(n)
-        if rhs.is_zero():
-            continue
-        ((stage, want),) = rhs.components.items()
-        ok, entries, residual = solve(stage, want)
-        if not ok:
-            return Trivialization(False, stage=stage, residual=want._like(residual))
-        f_n = f.component(stage)._like(entries)  # f has no component at stage yet
-        f = f + f._like({stage: f_n})
-    return Trivialization(True, f=f, log=magnus_series(f - f.unit_like()))
+    unit = alpha.unit_like()
+    phi_inv = unit - h.star(alpha - delta)
+    hat = phi_inv.star(alpha).circle(circle_inverse(phi_inv))
+    g = psi_series(hat - delta, pullback).circle(phi_inv)
+    f = circle_inverse(g)
+    rest = g.star(alpha).circle(f) - delta
+    if rest.components:
+        stage = min(rest.components)
+        return Trivialization(False, stage=stage, residual=rest.components[stage])
+    return Trivialization(True, f=f, log=magnus_series(f - unit))

@@ -6,16 +6,14 @@ rational matrix between two graded spaces that shifts degree by a fixed
 amount.  Composition is plain matrix composition -- maps between graded
 spaces pick up no Koszul signs on their own.
 
-Also home to the stage systems of both trivializers and their
-deterministic Gaussian solver: :func:`stage_rows` builds the matrix of
-x -> sum_j x o_j d - d o x on multilinear maps x, with the Koszul sign of d
-passing the inputs before its slot; an operator tower's stage is the
-arity-1 case, the commutator x d - d x.
+Also home to contractions: a :class:`Contraction` is a homotopy retract
+(i, p, h) of a complex onto a smaller one, and :func:`contraction_of`
+builds one onto the homology by exact elimination in each degree.  Both
+trivializers twist a structure by the gauges of such a contraction.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .combination import Combination, add_into, put
@@ -137,6 +135,125 @@ class GradedMap(Combination):
         )
 
 
+class Contraction:
+    """A homotopy retract (i, p, h) of ``big`` onto ``small`` with side conditions.
+
+    ``d`` is the differential of the big space (degree -1); the five defining
+    identities
+
+        p i = id,   i p - id = d h + h d,   h h = 0,   p h = 0,   h i = 0
+
+    are validated exactly at construction, as is d^2 = 0.  Construction also
+    forms the projector ``pi`` = i p onto the image of the small space and
+    the induced differential ``d_small`` = p d i on the small space.
+    """
+
+    __slots__ = ("big", "small", "d", "incl", "proj", "h", "pi", "d_small")
+
+    def __init__(self, big, small, d, incl, proj, h):
+        self.big = big
+        self.small = small
+        self.d = d
+        self.incl = incl
+        self.proj = proj
+        self.h = h
+        self._validate()
+        self.d_small = proj.compose(d).compose(incl)
+
+    def _validate(self):
+        shapes = [
+            (self.d, self.big, self.big, -1, "d"),
+            (self.incl, self.small, self.big, 0, "i"),
+            (self.proj, self.big, self.small, 0, "p"),
+            (self.h, self.big, self.big, 1, "h"),
+        ]
+        for gmap, source, target, degree, name in shapes:
+            if gmap.source != source or gmap.target != target or gmap.degree != degree:
+                raise ValidationError(f"contraction map {name} has the wrong shape")
+        self.pi = self.incl.compose(self.proj)
+        checks = [
+            ("d d = 0", self.d.compose(self.d).is_zero()),
+            ("p i = id", self.proj.compose(self.incl) == GradedMap.identity(self.small)),
+            (
+                "i p - id = d h + h d",
+                self.pi - GradedMap.identity(self.big)
+                == self.d.compose(self.h) + self.h.compose(self.d),
+            ),
+            ("h h = 0", self.h.compose(self.h).is_zero()),
+            ("p h = 0", self.proj.compose(self.h).is_zero()),
+            ("h i = 0", self.h.compose(self.incl).is_zero()),
+        ]
+        for name, ok in checks:
+            if not ok:
+                raise ValidationError(f"contraction violates {name}")
+
+
+def _reduce(v: dict, rows, acc: dict) -> None:
+    """Reduce the vector ``v`` in place along echelon ``rows`` ``(pivot,
+    vector, tag)``, each zero at the pivots of the rows before it, and take
+    lambda * tag off ``acc`` for each lambda * vector taken off ``v``.
+    Vectors and tags are dicts basis vector -> coefficient."""
+    for pivot, row, tag in rows:
+        if pivot in v:
+            lam = v[pivot] / row[pivot]
+            for b, c in row.items():
+                put(v, b, v.get(b, 0) - lam * c)
+            for b, c in tag.items():
+                put(acc, b, acc.get(b, 0) - lam * c)
+
+
+def contraction_of(space: GradedSpace, d: GradedMap) -> Contraction:
+    """A contraction of (``space``, d) onto its homology, with zero induced
+    differential, by exact elimination in each degree.
+
+    Write V_k = B_k + H_k + C_k, with B_k = im d, H_k a complement of B_k in
+    ker d, and C_k spanned by preimages of B_(k-1).  Eliminating the images
+    d(e) of the basis vectors in basis order gives echelon rows of B_(k-1),
+    each tagged with its preimage in C_k, and kernel vectors; those of
+    degree k independent of B_k and of each other span H_k.  Then i and p
+    include and project H along B + C, and h = -(d|C)^(-1) on B and 0 on
+    H + C.  All of it is read from the entries of d, and the identities,
+    which hold by construction, are checked by :class:`Contraction`.
+    """
+    images: dict = {}  # basis vector -> its image under d
+    for (sdeg, sidx, tidx), c in d.entries.items():
+        images.setdefault((sdeg, sidx), {})[sdeg + d.degree, tidx] = c
+    bounds: dict = {}  # degree k -> echelon rows of B_k, tagged by preimages
+    cycles: dict = {}  # degree k -> echelon rows of H_k, tagged by minus H's basis
+    kernel = []
+    for e in space.basis():
+        v, pre = dict(images.get(e, {})), {e: Fraction(1)}
+        rows = bounds.setdefault(e[0] + d.degree, [])
+        _reduce(v, rows, pre)
+        if v:
+            rows.append((min(v), v, pre))
+        else:
+            kernel.append((e[0], pre))
+    for k, z in kernel:
+        rows = cycles.setdefault(k, [])
+        _reduce(z, bounds.get(k, []) + rows, {})
+        if z:
+            rows.append((min(z), z, {(k, len(rows)): -1}))
+    small = GradedSpace({k: len(rows) for k, rows in cycles.items()})
+    incl, proj = GradedMap(small, space, 0), GradedMap(space, small, 0)
+    h = GradedMap(space, space, -d.degree)
+    for k, rows in cycles.items():
+        for j, (_pivot, z, _tag) in enumerate(rows):
+            for (_, idx), c in z.items():
+                incl[k, j, idx] = c
+    for e in space.basis():
+        x, hx, px = {e: Fraction(1)}, {}, {}
+        _reduce(dict(images.get(e, {})), bounds.get(e[0] + d.degree, ()), x)  # x in ker d
+        _reduce(x, bounds.get(e[0], ()), hx)  # minus the preimage of x's part in B
+        _reduce(x, cycles.get(e[0], ()), px)  # the rest of x, in H's basis
+        for (_, idx), c in hx.items():
+            h[e[0], e[1], idx] = c
+        for (_, j), c in px.items():
+            proj[e[0], e[1], j] = c
+    return Contraction(space, small, d, incl, proj, h)
+
+
+# Unused by the library; kept while perfbench/spans.SolveSizes rebinds it on every run.
 def solve_sparse(rows, rhs, nvars):
     """Solve a sparse rational linear system by deterministic elimination.
 
@@ -150,7 +267,7 @@ def solve_sparse(rows, rhs, nvars):
     first (lowest-index) unused row with a non-zero coefficient in it.  A
     column index ``var -> unused rows holding var`` finds that row as the
     index's minimum and confines each elimination to the rows that hold the
-    pivot variable, so a stage costs time in proportion to the entries it
+    pivot variable, so a system costs time in proportion to the entries it
     touches (input non-zeros plus fill-in), not rows x unknowns; the index
     holds one set entry per stored non-zero.
     """
@@ -207,72 +324,3 @@ def solve_sparse(rows, rhs, nvars):
                 acc -= c * solution[k]
         solution[var] = acc
     return consistent, solution
-
-
-def solve_stage(unknowns, rows_by_target, rhs_entries):
-    """Solve one stage  L(x) = rhs  of a stage-wise trivializer search.
-
-    ``unknowns`` lists the entry keys of the unknown map, ``rows_by_target``
-    maps each target key to its row ``{unknown index: coeff}`` of the matrix
-    of L, and ``rhs_entries`` is the right-hand side by target key.  Rows
-    are ordered by target key and solved by :func:`solve_sparse`.  Returns
-    ``(ok, entries, residual)``: the solution as a dict ``unknown key ->
-    non-zero value`` and, when the system is inconsistent, the non-zero part
-    of ``rhs - L(x)`` by target key, computed from the same rows.
-    """
-    targets = sorted(set(rows_by_target) | set(rhs_entries))
-    rows = [rows_by_target.get(t, {}) for t in targets]
-    rhs = [rhs_entries.get(t, Fraction(0)) for t in targets]
-    ok, solution = solve_sparse(rows, rhs, len(unknowns))
-    entries = {key: x for key, x in zip(unknowns, solution) if x}
-    residual = {}
-    if not ok:
-        for t, row, b in zip(targets, rows, rhs):
-            put(residual, t, b - sum(c * solution[var] for var, c in row.items()))
-    return ok, entries, residual
-
-
-def stage_rows(space, arity, degree, d):
-    """Unknowns and matrix rows of  x -> sum_j x o_j d - d o x  on the maps
-    space^{tensor arity} -> space of degree ``degree``, for a ``GradedMap`` d.
-
-    The unknowns are the entry keys ``(inputs, output)``: inputs in basis
-    order, then each output of degree sum(input degrees) + ``degree`` in
-    basis order.  Row ``t`` maps an unknown's index to the coefficient of
-    target entry ``t`` in the image of that unit map.  Inserting d into slot
-    j costs (-1)^(|d| * (sum of the degrees of the inputs before j)); at
-    arity 1 no input comes first and the image is the commutator x d - d x.
-    Every row entry is read off one entry of d through its preimage and
-    image tables, built once per call.
-    """
-    odd = d.degree % 2
-    preimage = {}  # basis vector b -> [(a, c)] for the entries d(a) = c b + ...
-    image = {}  # basis vector a -> [(b, c)] for the same entries
-    for (sdeg, sidx, tidx), c in d.entries.items():
-        a, b = (sdeg, sidx), (sdeg + d.degree, tidx)
-        preimage.setdefault(b, []).append((a, c))
-        image.setdefault(a, []).append((b, c))
-    basis = space.basis()
-    by_degree = {}
-    for b in basis:
-        by_degree.setdefault(b[0], []).append(b)
-    unknowns = []
-    rows: dict = {}
-    for ins in itertools.product(basis, repeat=arity):
-        outs = by_degree.get(sum(b[0] for b in ins) + degree)
-        if not outs:
-            continue
-        slot_terms = []  # (inputs of the target, coeff) of  sum_j e o_j d
-        parity = 0
-        for j, b in enumerate(ins):
-            for a, c in preimage.get(b, ()):
-                slot_terms.append((ins[:j] + (a,) + ins[j + 1:], -c if odd and parity else c))
-            parity ^= b[0] & 1
-        for out in outs:
-            var = len(unknowns)
-            unknowns.append((ins, out))
-            for tins, c in slot_terms:
-                add_into(rows.setdefault((tins, out), {}), var, c)
-            for b, c in image.get(out, ()):
-                add_into(rows.setdefault((ins, b), {}), var, -c)
-    return unknowns, rows

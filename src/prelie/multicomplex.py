@@ -5,9 +5,10 @@ together with higher operators d_n of degree 2n - 1; the square-zero
 condition  sum_{i+j=n} d_i d_j = 0  is the Maurer-Cartan equation of the
 associative convolution product implemented by :func:`star`.  Gauge towers
 carry degree 2n per weight, exponentiate classically, and act on structure
-towers by conjugation.  ``trivialize`` solves  f * delta = alpha * f  stage
-by stage with exact Gaussian elimination.  Both come from :mod:`calculus`,
-of which towers are the associative case.
+towers by conjugation.  ``trivialize`` decides gauge triviality, and solves
+f * delta = alpha * f, by the gauges of a contraction onto the homology
+(the homological perturbation lemma).  Both come from :mod:`calculus`, of
+which towers are the associative case.
 
 Degree convention: weight n of a structure tower has degree 2n - 1 (the
 weight-0 slot holds the degree -1 differential).  Other gradings can be
@@ -21,7 +22,7 @@ from fractions import Fraction
 from . import calculus
 from .combination import Combination, add_into, parse_number
 from .errors import DomainError, InternalCheckError, ShapeError, ValidationError
-from .linalg import GradedMap, GradedSpace, solve_stage, stage_rows
+from .linalg import GradedMap, GradedSpace, contraction_of
 
 STRUCTURE = -1  # per-weight degree 2n - 1
 GAUGE = 0  # per-weight degree 2n
@@ -182,37 +183,20 @@ def isotopy_check(f: OperatorTower, alpha: OperatorTower, beta: OperatorTower) -
     return star(f, alpha) == star(beta, f)
 
 
-def _arity_one(gmap: GradedMap) -> dict:
-    """The entries ``(s, i, t)`` of a graded map keyed as the arity-1 entries
-    ``(((s, i),), (s + degree, t))`` of :func:`linalg.stage_rows`."""
-    return {(((s, i),), (s + gmap.degree, t)): c for (s, i, t), c in gmap.entries.items()}
-
-
-def _tower_keys(entries: dict) -> dict:
-    """Arity-1 entries ``(((s, i),), (_, t))`` keyed back as ``(s, i, t)``."""
-    return {(s, i, t): c for (((s, i),), (_, t)), c in entries.items()}
-
-
 def trivialize(alpha: OperatorTower) -> calculus.Trivialization:
-    """Solve  f * delta = alpha * f  for an isotopy f = 1 + f_(1) + ...
-    by :func:`calculus.trivialize`.
-
-    The stage at weight n is  f_(n) d - d f_(n) = RHS, the arity-1 case of
-    the A-infinity stage: :func:`linalg.stage_rows` reads its matrix off d,
-    keying each entry ``(s, i, t)`` of a graded map as an arity-1 entry.  A
-    found isotopy that fails  f * delta == alpha * f  is a library bug and
-    raises ``InternalCheckError``.
+    """Decide whether a Maurer-Cartan tower is gauge trivial, and find an
+    isotopy f = 1 + f_(1) + ... with  f * delta = alpha * f  if it is, by
+    :func:`calculus.trivialize` with the homotopy h of
+    :func:`linalg.contraction_of` as an offset-1 tower and  h^*(y) = -y * h.
+    A found isotopy that fails  f * delta == alpha * f  is a library bug
+    and raises ``InternalCheckError``.
     """
     report = mc_check(alpha)
     if not report.ok:
         raise DomainError(f"trivialize needs a Maurer-Cartan tower; fails at weight {report.stage}")
-    space, d = alpha.space, alpha.component(0)
-
-    def solve(n, rhs):
-        ok, entries, residual = solve_stage(*stage_rows(space, 1, 2 * n, d), _arity_one(rhs))
-        return ok, _tower_keys(entries), _tower_keys(residual)
-
-    result = calculus.trivialize(alpha, solve)
+    c = contraction_of(alpha.space, alpha.component(0))
+    h = OperatorTower(alpha.space, alpha.truncation, 1, {0: c.h})
+    result = calculus.trivialize(alpha, h, lambda y: y.star(h) * -1)
     if result.found and not isotopy_check(result.f, alpha.weight_component(0), alpha):
         raise InternalCheckError("trivialize: the isotopy found fails f * delta == alpha * f")
     return result

@@ -35,10 +35,10 @@ from prelie.ainf import (
     star,
     unit_element,
 )
-from prelie.ainf.transfer import _abar, _phi, _psi, _r_operator
-from prelie.combination import add_into
+from prelie.ainf.transfer import _abar, _phi, _psi, h_star
+from prelie.combination import add_into, put
 from prelie.errors import BoundsError, DomainError, ShapeError
-from prelie.linalg import GradedMap, GradedSpace
+from prelie.linalg import GradedMap, GradedSpace, solve_sparse
 from prelie.series import LabeledTree, TreeSeries, bracket, eval_tree
 from prelie.trees import Levelization, aut_order, enumerate_trees, forest_structure
 from prelie import multicomplex as mcx
@@ -752,6 +752,128 @@ def solve_sparse_by_scan(rows, rhs, nvars):
     return consistent, solution
 
 
+# -- the stage-wise trivializer: the greedy linear solve the twist replaced -----
+
+
+def solve_stage(unknowns, rows_by_target, rhs_entries):
+    """Solve one stage  L(x) = rhs  of a stage-wise trivializer search.
+
+    ``unknowns`` lists the entry keys of the unknown map, ``rows_by_target``
+    maps each target key to its row ``{unknown index: coeff}`` of the matrix
+    of L, and ``rhs_entries`` is the right-hand side by target key.  Rows
+    are ordered by target key and solved by :func:`solve_sparse`.  Returns
+    ``(ok, entries, residual)``: the solution as a dict ``unknown key ->
+    non-zero value`` and, when the system is inconsistent, the non-zero part
+    of ``rhs - L(x)`` by target key, computed from the same rows.
+    """
+    targets = sorted(set(rows_by_target) | set(rhs_entries))
+    rows = [rows_by_target.get(t, {}) for t in targets]
+    rhs = [rhs_entries.get(t, Fraction(0)) for t in targets]
+    ok, solution = solve_sparse(rows, rhs, len(unknowns))
+    entries = {key: x for key, x in zip(unknowns, solution) if x}
+    residual = {}
+    if not ok:
+        for t, row, b in zip(targets, rows, rhs):
+            put(residual, t, b - sum(c * solution[var] for var, c in row.items()))
+    return ok, entries, residual
+
+
+def stage_rows(space, arity, degree, d):
+    """Unknowns and matrix rows of  x -> sum_j x o_j d - d o x  on the maps
+    space^{tensor arity} -> space of degree ``degree``, for a ``GradedMap`` d.
+
+    The unknowns are the entry keys ``(inputs, output)``: inputs in basis
+    order, then each output of degree sum(input degrees) + ``degree`` in
+    basis order.  Row ``t`` maps an unknown's index to the coefficient of
+    target entry ``t`` in the image of that unit map.  Inserting d into slot
+    j costs (-1)^(|d| * (sum of the degrees of the inputs before j)); at
+    arity 1 no input comes first and the image is the commutator x d - d x.
+    Every row entry is read off one entry of d through its preimage and
+    image tables, built once per call.
+    """
+    odd = d.degree % 2
+    preimage = {}  # basis vector b -> [(a, c)] for the entries d(a) = c b + ...
+    image = {}  # basis vector a -> [(b, c)] for the same entries
+    for (sdeg, sidx, tidx), c in d.entries.items():
+        a, b = (sdeg, sidx), (sdeg + d.degree, tidx)
+        preimage.setdefault(b, []).append((a, c))
+        image.setdefault(a, []).append((b, c))
+    basis = space.basis()
+    by_degree = {}
+    for b in basis:
+        by_degree.setdefault(b[0], []).append(b)
+    unknowns = []
+    rows: dict = {}
+    for ins in itertools.product(basis, repeat=arity):
+        outs = by_degree.get(sum(b[0] for b in ins) + degree)
+        if not outs:
+            continue
+        slot_terms = []  # (inputs of the target, coeff) of  sum_j e o_j d
+        parity = 0
+        for j, b in enumerate(ins):
+            for a, c in preimage.get(b, ()):
+                slot_terms.append((ins[:j] + (a,) + ins[j + 1:], -c if odd and parity else c))
+            parity ^= b[0] & 1
+        for out in outs:
+            var = len(unknowns)
+            unknowns.append((ins, out))
+            for tins, c in slot_terms:
+                add_into(rows.setdefault((tins, out), {}), var, c)
+            for b, c in image.get(out, ()):
+                add_into(rows.setdefault((ins, b), {}), var, -c)
+    return unknowns, rows
+
+
+def arity_one(gmap: GradedMap) -> dict:
+    """The entries ``(s, i, t)`` of a graded map keyed as the arity-1 entries
+    ``(((s, i),), (s + degree, t))`` of :func:`stage_rows`."""
+    return {(((s, i),), (s + gmap.degree, t)): c for (s, i, t), c in gmap.entries.items()}
+
+
+def tower_keys(entries: dict) -> dict:
+    """Arity-1 entries ``(((s, i),), (_, t))`` keyed back as ``(s, i, t)``."""
+    return {(s, i, t): c for (((s, i),), (_, t)), c in entries.items()}
+
+
+def trivialize_by_stages(alpha) -> calculus.Trivialization:
+    """Solve  f * delta = alpha (o) f  for f = 1 + f_1 + ... one weight at a
+    time, for a convolution element or an operator tower.
+
+    With f = f_(<n), the weight-n part of  alpha (o) f - f * delta  is the
+    right-hand side of a linear equation in f_n, whose matrix
+    :func:`stage_rows` reads off d (a tower's stage is the arity-1 case at
+    degree 2n); a zero one is solved by f_n = 0.  Earlier stages are fixed
+    greedily, so a stage without solution ends the search with its
+    unmatched part as the residual, but proves nothing on its own.
+    """
+    delta = alpha.weight_component(0)
+    if isinstance(alpha, mcx.OperatorTower):
+        space, d = alpha.space, alpha.component(0)
+
+        def solve(n, rhs):
+            ok, entries, residual = solve_stage(*stage_rows(space, 1, 2 * n, d), arity_one(rhs))
+            return ok, tower_keys(entries), tower_keys(residual)
+    else:
+        space, d_op = alpha.source, alpha.component(1)
+        d = GradedMap(space, space, d_op.degree,
+                      {(*a, b[1]): c for ((a,), b), c in d_op.entries.items()})
+
+        def solve(n, rhs):
+            return solve_stage(*stage_rows(space, n, 0, d), rhs.entries)
+    f = alpha.unit_like()
+    for n in range(1, alpha.max_weight + 1):
+        rhs = (alpha.circle(f) - f.star(delta)).weight_component(n)
+        if rhs.is_zero():
+            continue
+        ((stage, want),) = rhs.components.items()
+        ok, entries, residual = solve(stage, want)
+        if not ok:
+            return calculus.Trivialization(False, stage=stage, residual=want._like(residual))
+        f_n = f.component(stage)._like(entries)  # f has no component at stage yet
+        f = f + f._like({stage: f_n})
+    return calculus.Trivialization(True, f=f, log=calculus.magnus_series(f - f.unit_like()))
+
+
 def compose_at(f: MultiOp, g: MultiOp, j: int) -> MultiOp:
     """Partial composition: plug g into the j-th input slot of f (1-based).
 
@@ -995,6 +1117,11 @@ def phi_kernel_by_trees(alpha, c):
     """Closed form  Phi = sum over rooted trees of t(h abar) / |Aut t|."""
     habar = h_push(_abar(alpha, c), c)
     return tree_sum(habar, unit_element(alpha.source, alpha.truncation))
+
+
+def _r_operator(x: ConvElement, abar: ConvElement, c: Contraction) -> ConvElement:
+    """R(x) = -h^*(x * abar), one step of the Psi kernel."""
+    return h_star(star(x, abar), c) * -1
 
 
 def tech_r_check(alpha, c, xs=None) -> bool:

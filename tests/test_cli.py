@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from prelie import linalg
+from prelie import calculus
 from prelie.cli import main
 from prelie.ainf import (
     ConvElement,
@@ -420,11 +420,26 @@ def test_internal_check_error_exit_3(tmp_path, capsys, monkeypatch):
     sfile.write_text(json.dumps(element_to_dict(gauged)))
     code, _out, _err = run(capsys, "ainf", "trivialize", str(sfile))
     assert code == 0
-    monkeypatch.setattr(linalg, "solve_sparse",
-                        lambda rows, rhs, nvars: (True, [Fraction(0)] * nvars))
+    # a twist that wrongly reports the unit as the isotopy
+    monkeypatch.setattr(calculus, "trivialize", lambda alpha, h, pullback:
+                        calculus.Trivialization(True, f=alpha.unit_like()))
     code, out, err = run(capsys, "ainf", "trivialize", str(sfile))
     assert (code, out) == (3, "")
     assert err == "error: find_trivializer: the isotopy found is no infinity-morphism\n"
+
+
+@pytest.mark.parametrize("verb", ["mc-check", "trivialize"])
+def test_ainf_structure_with_another_target_space_exit_2(tmp_path, capsys, verb):
+    alpha, _c = acyclic_dga(truncation=3)
+    record = element_to_dict(alpha)
+    record["target_space"] = {"dims": {"1": 2}}
+    record["operations"] = []  # entries of the other target would be refused first
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(record))
+    code, out, err = run(capsys, "ainf", verb, str(infile))
+    assert (code, out) == (2, "")
+    assert err == ('error: a structure maps one space to itself, but its "space" has dims '
+                   '{1: 1, 2: 1} and its "target_space" {1: 2}\n')
 
 
 def _verdict_inputs():

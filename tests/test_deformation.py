@@ -2,9 +2,9 @@
 
 The circle product is associative on group-like elements, for convolution
 elements and for tree series; the insertion product of convolution
-elements has a right-symmetric associator; and the shared stage-wise
-trivializer undoes a random gauge of a bare differential, for operator
-towers (the associative case) and for A-infinity elements alike: the gauge
+elements has a right-symmetric associator; and the shared trivializer
+undoes a random gauge of a bare differential, for operator towers (the
+associative case) and for A-infinity elements alike: the gauge
 action of the logarithm it returns takes the differential back to the
 gauged structure.
 """

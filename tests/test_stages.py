@@ -1,13 +1,13 @@
-"""Trivializer stages: the column-indexed solver and the stage matrices.
+"""The stage-wise trivializer oracle and the trivializers' own checks.
 
 ``linalg.solve_sparse`` must agree exactly with the row-scanning
 elimination in ``helpers.solve_sparse_by_scan`` (same pivot rule), the
-stage routine ``linalg.solve_stage`` with the assembly it replaced, and the
-stage matrices of ``linalg.stage_rows`` with the per-unknown operator
-``helpers.stage_operator``; at arity 1, the multicomplex stage, also with
-``helpers.commutator``.  A solver returning a wrong solution must be caught
-by the post-solve checks, and the stage sizes the benchmark records must
-still reach the solver.
+oracle's stage routine ``helpers.solve_stage`` with the assembly it
+replaced, and the stage matrices of ``helpers.stage_rows`` with the
+per-unknown operator ``helpers.stage_operator``; at arity 1, the
+multicomplex stage, also with ``helpers.commutator``.  A trivializer whose
+twist returns a wrong isotopy must be caught by the checks after it, and
+the stage sizes of the oracle stay pinned.
 """
 
 import itertools
@@ -17,15 +17,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import helpers
+from prelie import calculus
 from prelie import linalg
 from prelie import multicomplex as mcx
 from prelie.ainf import MultiOp, element_from_map, find_trivializer, gauge_act
 from prelie.errors import InternalCheckError
-from prelie.linalg import GradedMap, GradedSpace, solve_sparse, solve_stage
+from prelie.linalg import GradedMap, GradedSpace, solve_sparse
 from helpers import (
     a_infinity_instance,
     acyclic_dga,
     acyclic_tower,
+    arity_one,
     bicomplex_tower,
     commutator,
     formal_dga,
@@ -34,7 +37,10 @@ from helpers import (
     random_gauge_element,
     random_gauge_tower,
     solve_sparse_by_scan,
+    solve_stage,
     stage_operator,
+    stage_rows,
+    trivialize_by_stages,
 )
 
 COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -149,7 +155,7 @@ def _columns(rows):
 
 
 def _check_stage(space, arity, degree, d):
-    unknowns, rows = linalg.stage_rows(space, arity, degree, d)
+    unknowns, rows = stage_rows(space, arity, degree, d)
     basis = space.basis()
     assert unknowns == [
         (ins, out)
@@ -165,7 +171,7 @@ def _check_stage(space, arity, degree, d):
         if arity == 1:  # the multicomplex stage: a commutator of graded maps
             ((s, i),), (_, t) = key
             comm = commutator(GradedMap(space, space, degree, {(s, i, t): 1}), d)
-            assert columns.get(var, {}) == mcx._arity_one(comm)
+            assert columns.get(var, {}) == arity_one(comm)
 
 
 @pytest.mark.parametrize("fixture", [massey_dga, formal_dga, a_infinity_instance])
@@ -209,27 +215,33 @@ def test_stage_columns_equal_the_stage_operator(shape):
 
 def test_stage_sizes_the_benchmark_records(monkeypatch):
     # perfbench/spans.SolveSizes records rows x unknowns per job by rebinding
-    # linalg.solve_sparse; these sizes must reach it, and stay comparable
-    # with older records, whichever module builds the stages
+    # linalg.solve_sparse; the trivializers no longer call it, and the stage
+    # oracle keeps the sizes older records hold
     sizes = []
-    solve = linalg.solve_sparse
 
     def recording(rows, rhs, nvars):
         sizes.append((len(rows), nvars))
-        return solve(rows, rhs, nvars)
+        return solve_sparse(rows, rhs, nvars)
 
     monkeypatch.setattr(linalg, "solve_sparse", recording)
-    assert mcx.trivialize(acyclic_tower()).found
-    assert sizes == [(2, 1)]
-    sizes.clear()
+    monkeypatch.setattr(helpers, "solve_sparse", recording)
     _alpha, c = massey_dga(truncation=4)
     gauged = gauge_act(random_gauge_element(c.big, 4, random.Random(5)), element_from_map(c.d, 4))
+    assert mcx.trivialize(acyclic_tower()).found
     assert find_trivializer(gauged).found
+    assert sizes == []
+    assert trivialize_by_stages(acyclic_tower()).found
+    assert sizes == [(2, 1)]
+    sizes.clear()
+    assert trivialize_by_stages(gauged).found
     assert sizes == [(101, 448), (431, 2048)]
 
 
-def _zero_solver(rows, rhs, nvars):
-    return True, [Fraction(0)] * nvars
+def _unit_isotopy(monkeypatch):
+    """Make the twist report every structure trivial with the unit as its
+    isotopy, which is wrong for any structure but the differential."""
+    monkeypatch.setattr(calculus, "trivialize", lambda alpha, h, pullback:
+                        calculus.Trivialization(True, f=alpha.unit_like()))
 
 
 def test_find_trivializer_rejects_a_wrong_solution(monkeypatch):
@@ -237,7 +249,7 @@ def test_find_trivializer_rejects_a_wrong_solution(monkeypatch):
     delta = element_from_map(c.d, 4)
     gauged = gauge_act(random_gauge_element(c.big, 4, random.Random(3)), delta)
     assert find_trivializer(gauged).found
-    monkeypatch.setattr(linalg, "solve_sparse", _zero_solver)
+    _unit_isotopy(monkeypatch)
     with pytest.raises(InternalCheckError):
         find_trivializer(gauged)
 
@@ -250,6 +262,6 @@ def test_trivialize_rejects_a_wrong_solution(monkeypatch):
     delta = mcx.structure_tower(V, 4, {0: d})
     alpha = mcx.conjugate(random_gauge_tower(V, 4, random.Random(4)), delta)
     assert mcx.trivialize(alpha).found
-    monkeypatch.setattr(linalg, "solve_sparse", _zero_solver)
+    _unit_isotopy(monkeypatch)
     with pytest.raises(InternalCheckError):
         mcx.trivialize(alpha)
