@@ -637,6 +637,53 @@ def test_ainf_gauge_act_exact_output(tmp_path, capsys):
     assert (code, out, err) == (0, json.dumps(expected, indent=2, sort_keys=True) + "\n", "")
 
 
+TOWER_OPERATORS = [  # acyclic_tower(), encoded
+    {"weight": 0, "entries": [[1, 0, 0, "1"], [2, 0, 1, "1"]]},
+    {"weight": 1, "entries": [[0, 0, 1, "3"], [1, 0, 0, "-3"]]},
+]
+
+CONJUGATE_RECORD = {
+    "space": TOWER_SPACE,
+    "truncation": 4,
+    "alpha": {"operators": TOWER_OPERATORS},
+    "gauge": {"operators": [{"weight": 1, "entries": [[0, 0, 0, "1/2"]]}]},
+}
+
+CONJUGATED = {
+    "space": TOWER_SPACE,
+    "truncation": 4,
+    "kind": "structure",
+    "operators": [
+        {"weight": 0, "entries": [[1, 0, 0, "1"], [2, 0, 1, "1"]]},
+        {"weight": 1, "entries": [[0, 0, 1, "5/2"], [1, 0, 0, "-5/2"]]},
+    ],
+}
+
+
+def test_multicomplex_conjugate_exact_output(tmp_path, capsys):
+    # unlike ainf gauge-act, the text line's record carries the verdict too
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(CONJUGATE_RECORD))
+    expected = {**CONJUGATED, "maurer_cartan_preserved": True}
+    code, out, err = run(capsys, "multicomplex", "conjugate", str(infile))
+    assert (code, out, err) == (0, "maurer-cartan preserved: PASS\n" + json.dumps(expected) + "\n", "")
+    code, out, err = run(capsys, "multicomplex", "conjugate", str(infile), "--format", "json")
+    assert (code, out, err) == (0, json.dumps(expected, indent=2, sort_keys=True) + "\n", "")
+
+
+@pytest.mark.parametrize("verb, record", [
+    (["multicomplex", "mc-check"], {"space": TOWER_SPACE, "truncation": 4,
+                                    "operators": TOWER_OPERATORS}),
+    (["ainf", "mc-check"], GAUGED),
+], ids=["multicomplex", "ainf"])
+def test_true_mc_verdict_exact_output(tmp_path, capsys, verb, record):
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(record))
+    assert run(capsys, *verb, str(infile)) == (0, "maurer-cartan: PASS\n", "")
+    code, out, err = run(capsys, *verb, str(infile), "--format", "json")
+    assert (code, out, err) == (0, '{\n  "maurer_cartan": true\n}\n', "")
+
+
 def _non_integer_inputs():
     """(verb, record, message): a string that is no integer where a JSON
     integer is read; the message names the field."""
