@@ -1,12 +1,18 @@
 """Batch command line for the tree, series, multicomplex and ainf modules.
 
+Operator towers (``multicomplex``) and A-infinity structures (``ainf``)
+share one handler for each of ``mc-check``, the gauge action and
+``trivialize``, which reads what differs from the table ``THEORIES``.
+
 Exit codes:
 
 - 0  success, or a true verdict;
 - 1  a false verdict of a verdict-style command (mc-check, trivialize),
      with the residual in the output;
 - 2  malformed input or a violated precondition, with a position-annotated
-     message on stderr;
+     message on stderr; this includes input that is not UTF-8, JSON nested
+     too deeply or with an integer over Python's digit limit, and a series
+     tree nested too deeply;
 - 3  an internal check failed (``InternalCheckError``): a library bug, not
      a property of the input.
 
@@ -18,10 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import ainf, multicomplex, series, trees
 from .combination import parse_number
-from .errors import DomainError, InternalCheckError, PreLieError, ValidationError
+from .errors import DomainError, InternalCheckError, ParseError, PreLieError, ValidationError
 
 DEFAULT_ORDER = 6
 # bound on --order of the prelie verbs: order 8 takes seconds, order 9 minutes
@@ -40,15 +48,9 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PreLieError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {_describe(exc)}", file=sys.stderr)
+    except (PreLieError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _describe(exc) -> str:
-    if isinstance(exc, json.JSONDecodeError):
-        return f"line {exc.lineno} column {exc.colno}: {exc.msg}"
-    return str(exc)
 
 
 def _integer(text: str) -> int:
@@ -105,32 +107,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=_cmd_series_gauge)
 
-    m = sub.add_parser("multicomplex", help="operator towers")
-    msub = m.add_subparsers(dest="verb", required=True)
-    for verb, handler in [
-        ("mc-check", _cmd_mc_check),
-        ("conjugate", _cmd_mc_conjugate),
-        ("trivialize", _cmd_mc_trivialize),
-    ]:
-        p = msub.add_parser(verb)
-        p.add_argument("input", nargs="?", default="-")
-        p.add_argument("--truncation", type=_integer, default=None)
-        common(p)
-        p.set_defaults(handler=handler)
-
-    a = sub.add_parser("ainf", help="homotopy-associative structures")
-    asub = a.add_subparsers(dest="verb", required=True)
-    for verb, handler in [
-        ("mc-check", _cmd_ainf_mc_check),
-        ("gauge-act", _cmd_ainf_gauge),
-        ("trivialize", _cmd_ainf_trivialize),
-    ]:
-        p = asub.add_parser(verb)
-        p.add_argument("input", nargs="?", default="-")
-        p.add_argument("--truncation", type=_integer, default=None)
-        common(p)
-        p.set_defaults(handler=handler)
-    p = asub.add_parser("transfer", help="homotopy transfer along a contraction")
+    verbs = {}
+    for theory in THEORIES:
+        m = sub.add_parser(theory.module, help=theory.help)
+        verbs[theory.module] = msub = m.add_subparsers(dest="verb", required=True)
+        for verb, handler in [
+            ("mc-check", _cmd_mc_check),
+            (theory.gauge_verb, _cmd_gauge),
+            ("trivialize", _cmd_trivialize),
+        ]:
+            p = msub.add_parser(verb)
+            p.add_argument("input", nargs="?", default="-")
+            p.add_argument("--truncation", type=_integer, default=None)
+            common(p)
+            p.set_defaults(handler=handler, theory=theory)
+    p = verbs["ainf"].add_parser("transfer", help="homotopy transfer along a contraction")
     p.add_argument("structure", help="structure JSON file")
     p.add_argument("contraction", help="contraction JSON file")
     p.add_argument("--truncation", type=_integer, default=None)
@@ -144,14 +135,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":  # as bytes: a text stdin may pass bad bytes on as surrogates
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", f"{path}: byte {exc.start}") from None
 
 
 def _read_json(path: str):
-    return json.loads(_read_text(path))
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, f"line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", path) from None
+    except ValueError:  # an integer literal above Python's conversion limit
+        digits = sys.get_int_max_str_digits()
+        raise ParseError(f"a JSON integer has more than {digits} digits", path) from None
 
 
 def _emit(args, text: str) -> None:
@@ -243,129 +246,123 @@ def _cmd_series_gauge(args) -> int:
     return 0
 
 
-# -- multicomplex ----------------------------------------------------------------
+# -- the two deformation theories ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Theory:
+    """One deformation theory as the ``mc-check``, gauge and ``trivialize``
+    verbs see it.  The lambdas look each library function up at call time,
+    so that a rebound one (a tracer's wrapper, a test's patch) is called."""
+
+    module: str
+    help: str
+    stage: str  # the name of a stage, in reports and text lines
+    gauge_verb: str
+    acted_on: str  # the key of the record the gauge verb acts on
+    read: Callable  # (record, truncation, space=None, gauge=False) -> element
+    write: Callable
+    write_component: Callable
+    component_line: Callable  # written residual -> its text line
+    mc_check: Callable
+    gauge_act: Callable
+    trivialize: Callable
+    found_lines: tuple  # the text of a FOUND verdict
+    verdict_in_gauge_line: bool  # the gauge verb's text record also holds its verdict
+
+
+THEORIES = (
+    _Theory(
+        module="multicomplex", help="operator towers", stage="weight",
+        gauge_verb="conjugate", acted_on="alpha",
+        read=lambda data, n, space=None, gauge=False: multicomplex.tower_from_dict(
+            data, offset=multicomplex.GAUGE if gauge else multicomplex.STRUCTURE,
+            space=space, truncation=n),
+        write=lambda tower: multicomplex.tower_to_dict(tower),
+        write_component=lambda gmap: multicomplex.map_entries_to_list(gmap),
+        component_line=lambda entries: f"residual entries: {entries}",
+        mc_check=lambda alpha: multicomplex.mc_check(alpha),
+        gauge_act=lambda lam, alpha: multicomplex.conjugate(lam, alpha),
+        trivialize=lambda alpha: multicomplex.trivialize(alpha),
+        found_lines=("trivializer: FOUND", "isotopy verified against the bare differential"),
+        verdict_in_gauge_line=True,
+    ),
+    _Theory(
+        module="ainf", help="homotopy-associative structures", stage="arity",
+        gauge_verb="gauge-act", acted_on="structure",
+        read=lambda data, n, space=None, gauge=False: ainf.element_from_dict(
+            data, source=space, truncation=n, degree=0 if gauge else -1),
+        write=lambda elt: ainf.element_to_dict(elt),
+        write_component=lambda op: ainf.multiop_to_dict(op),
+        component_line=lambda record: f"residual: {json.dumps(record)}",
+        mc_check=lambda alpha: ainf.mc_check(alpha),
+        gauge_act=lambda lam, alpha: ainf.gauge_act(lam, alpha),
+        trivialize=lambda alpha: ainf.find_trivializer(alpha),
+        found_lines=("trivializer: FOUND",),
+        verdict_in_gauge_line=False,
+    ),
+)
+
+
+def _pass(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 def _cmd_mc_check(args) -> int:
-    data = _read_json(args.input)
-    alpha = multicomplex.tower_from_dict(data, truncation=args.truncation)
-    report = multicomplex.mc_check(alpha)
+    theory = args.theory
+    report = theory.mc_check(theory.read(_read_json(args.input), args.truncation))
     payload = {"maurer_cartan": report.ok}
-    lines = [f"maurer-cartan: {'PASS' if report.ok else 'FAIL'}"]
+    lines = [f"maurer-cartan: {_pass(report.ok)}"]
     if not report.ok:
-        payload["weight"] = report.stage
-        payload["residual"] = multicomplex.map_entries_to_list(report.residual)
-        lines.append(f"first nonzero square at weight {report.stage}")
-        lines.append(f"residual entries: {payload['residual']}")
+        payload[theory.stage] = report.stage
+        payload["residual"] = theory.write_component(report.residual)
+        lines.append(f"first nonzero square at {theory.stage} {report.stage}")
+        lines.append(theory.component_line(payload["residual"]))
     _emit_payload(args, payload, lines)
     return 0 if report.ok else 1
 
 
-def _cmd_mc_conjugate(args) -> int:
+def _cmd_gauge(args) -> int:
+    theory = args.theory
     data = _read_json(args.input)
     space, n = multicomplex.space_and_truncation(data, args.truncation)
-    alpha = multicomplex.tower_from_dict(
-        multicomplex.json_object(data.get("alpha", {}), '"alpha"'),
-        offset=multicomplex.STRUCTURE, space=space, truncation=n,
-    )
-    lam = multicomplex.tower_from_dict(
-        multicomplex.json_object(data.get("gauge", {}), '"gauge"'),
-        offset=multicomplex.GAUGE, space=space, truncation=n,
-    )
-    result = multicomplex.conjugate(lam, alpha)
-    payload = multicomplex.tower_to_dict(result)
-    check = multicomplex.mc_check(result)
-    payload["maurer_cartan_preserved"] = check.ok
-    lines = [f"maurer-cartan preserved: {'PASS' if check.ok else 'FAIL'}", json.dumps(payload)]
-    _emit_payload(args, payload, lines)
-    return 0
 
+    def read(key):
+        record = multicomplex.json_object(data.get(key, {}), f'"{key}"')
+        return theory.read(record, n, space, gauge=key == "gauge")
 
-def _cmd_mc_trivialize(args) -> int:
-    data = _read_json(args.input)
-    alpha = multicomplex.tower_from_dict(data, truncation=args.truncation)
-    result = multicomplex.trivialize(alpha)
-    if result.found:
-        payload = {
-            "trivial": True,
-            "isotopy": multicomplex.tower_to_dict(result.f),
-            "log": multicomplex.tower_to_dict(result.log),
-        }
-        lines = ["trivializer: FOUND", "isotopy verified against the bare differential"]
-        _emit_payload(args, payload, lines)
-        return 0
-    payload = {
-        "trivial": False,
-        "stage": result.stage,
-        "residual": multicomplex.map_entries_to_list(result.residual),
-    }
+    alpha, lam = read(theory.acted_on), read("gauge")
+    result = theory.gauge_act(lam, alpha)
+    record = theory.write(result)
+    payload = {**record, "maurer_cartan_preserved": theory.mc_check(result).ok}
     lines = [
-        "trivializer: NOT FOUND",
-        f"obstruction at weight {result.stage}",
-        f"residual entries: {payload['residual']}",
-    ]
-    _emit_payload(args, payload, lines)
-    return 1
-
-
-# -- ainf ------------------------------------------------------------------------
-
-
-def _cmd_ainf_mc_check(args) -> int:
-    alpha = ainf.element_from_dict(_read_json(args.input), truncation=args.truncation)
-    report = ainf.mc_check(alpha)
-    payload = {"maurer_cartan": report.ok}
-    lines = [f"maurer-cartan: {'PASS' if report.ok else 'FAIL'}"]
-    if not report.ok:
-        payload["arity"] = report.stage
-        payload["residual"] = ainf.multiop_to_dict(report.residual)
-        lines.append(f"first nonzero square at arity {report.stage}")
-        lines.append(f"residual: {json.dumps(payload['residual'])}")
-    _emit_payload(args, payload, lines)
-    return 0 if report.ok else 1
-
-
-def _cmd_ainf_gauge(args) -> int:
-    data = _read_json(args.input)
-    space, n = multicomplex.space_and_truncation(data, args.truncation)
-    structure = multicomplex.json_object(data.get("structure", {}), '"structure"')
-    gauge = multicomplex.json_object(data.get("gauge", {}), '"gauge"')
-    alpha = ainf.element_from_dict(structure, source=space, truncation=n)
-    lam = ainf.element_from_dict(gauge, source=space, truncation=n, degree=0)
-    result = ainf.gauge_act(lam, alpha)
-    record = ainf.element_to_dict(result)
-    payload = {**record, "maurer_cartan_preserved": ainf.mc_check(result).ok}
-    lines = [
-        f"maurer-cartan preserved: {'PASS' if payload['maurer_cartan_preserved'] else 'FAIL'}",
-        json.dumps(record),
+        f"maurer-cartan preserved: {_pass(payload['maurer_cartan_preserved'])}",
+        json.dumps(payload if theory.verdict_in_gauge_line else record),
     ]
     _emit_payload(args, payload, lines)
     return 0
 
 
-def _cmd_ainf_trivialize(args) -> int:
-    alpha = ainf.element_from_dict(_read_json(args.input), truncation=args.truncation)
-    result = ainf.find_trivializer(alpha)
+def _cmd_trivialize(args) -> int:
+    theory = args.theory
+    result = theory.trivialize(theory.read(_read_json(args.input), args.truncation))
     if result.found:
-        payload = {
-            "trivial": True,
-            "isotopy": ainf.element_to_dict(result.f),
-            "log": ainf.element_to_dict(result.log),
-        }
-        _emit_payload(args, payload, ["trivializer: FOUND"])
-        return 0
-    payload = {
-        "trivial": False,
-        "stage": result.stage,
-        "residual": ainf.multiop_to_dict(result.residual),
-    }
-    lines = [
-        "trivializer: NOT FOUND",
-        f"obstruction at arity {result.stage}",
-        f"residual: {json.dumps(payload['residual'])}",
-    ]
+        payload = {"trivial": True, "isotopy": theory.write(result.f),
+                   "log": theory.write(result.log)}
+        lines = theory.found_lines
+    else:
+        residual = theory.write_component(result.residual)
+        payload = {"trivial": False, "stage": result.stage, "residual": residual}
+        lines = [
+            "trivializer: NOT FOUND",
+            f"obstruction at {theory.stage} {result.stage}",
+            theory.component_line(residual),
+        ]
     _emit_payload(args, payload, lines)
-    return 1
+    return 0 if result.found else 1
+
+
+# -- ainf transfer -------------------------------------------------------------
 
 
 def _cmd_ainf_transfer(args) -> int:
@@ -380,7 +377,7 @@ def _cmd_ainf_transfer(args) -> int:
     }
     lines = ["transferred structure computed; identity report:"]
     for name, ok in result.checks:
-        lines.append(f"  {name}: {'PASS' if ok else 'FAIL'}")
+        lines.append(f"  {name}: {_pass(ok)}")
     lines.append(json.dumps(payload["beta"]))
     _emit_payload(args, payload, lines)
     return 0

@@ -434,6 +434,8 @@ def parse_series(text: str, order: int) -> TreeSeries:
                 raise ParseError("trailing input after tree", f"column {end + 1}")
         except ParseError as exc:
             raise ParseError(str(exc), f"line {lineno}") from None
+        except RecursionError:
+            raise ParseError("tree nested too deeply", f"line {lineno}") from None
         if tree is None:
             unit += coeff
         else:

@@ -1,12 +1,14 @@
 """Command-line front end: formats, verdicts, exit codes."""
 
+import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from prelie import calculus
+from prelie import ainf, calculus
 from prelie.cli import main
 from prelie.ainf import (
     ConvElement,
@@ -666,7 +668,8 @@ def test_multicomplex_conjugate_exact_output(tmp_path, capsys):
     infile.write_text(json.dumps(CONJUGATE_RECORD))
     expected = {**CONJUGATED, "maurer_cartan_preserved": True}
     code, out, err = run(capsys, "multicomplex", "conjugate", str(infile))
-    assert (code, out, err) == (0, "maurer-cartan preserved: PASS\n" + json.dumps(expected) + "\n", "")
+    text = "maurer-cartan preserved: PASS\n" + json.dumps(expected) + "\n"
+    assert (code, out, err) == (0, text, "")
     code, out, err = run(capsys, "multicomplex", "conjugate", str(infile), "--format", "json")
     assert (code, out, err) == (0, json.dumps(expected, indent=2, sort_keys=True) + "\n", "")
 
@@ -682,6 +685,76 @@ def test_true_mc_verdict_exact_output(tmp_path, capsys, verb, record):
     assert run(capsys, *verb, str(infile)) == (0, "maurer-cartan: PASS\n", "")
     code, out, err = run(capsys, *verb, str(infile), "--format", "json")
     assert (code, out, err) == (0, '{\n  "maurer_cartan": true\n}\n', "")
+
+
+def _unreadable_inputs():
+    """(argv, file bytes, message): input the readers cannot take in at all."""
+    deep_series = "1 " + "(a " * 5000 + ")" * 5000 + "\n"
+    big = "1" * 5000
+    return {
+        "prelie-not-utf8": (["prelie", "exp", "in.txt"], b"\xff\xfe1 (a)\n",
+                            "in.txt: byte 0: not UTF-8 text (invalid start byte)"),
+        "tower-not-utf8": (["multicomplex", "conjugate", "in.txt"], b"\xff\xfe{}",
+                           "in.txt: byte 0: not UTF-8 text (invalid start byte)"),
+        "ainf-not-utf8": (["ainf", "trivialize", "in.txt"], b'{"space": "\xe9"}',
+                          "in.txt: byte 11: not UTF-8 text (invalid continuation byte)"),
+        "stdin-not-utf8": (["prelie", "exp", "-"], b"1 (a\xff)\n",
+                           "-: byte 4: not UTF-8 text (invalid start byte)"),
+        "json-too-deep": (["ainf", "mc-check", "in.txt"], b"[" * 200000 + b"]" * 200000,
+                          "in.txt: JSON nested too deeply"),
+        "json-int-digits": (["multicomplex", "mc-check", "in.txt"],
+                            f'{{"space": {{"dims": {{"0": 1}}}}, "truncation": {big}}}'.encode(),
+                            "in.txt: a JSON integer has more than 4300 digits"),
+        "series-too-deep": (["prelie", "magnus", "in.txt"], deep_series.encode(),
+                            "line 1: tree nested too deeply"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_unreadable_inputs()))
+def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, case):
+    # each was a traceback with exit 1, the code of a false verdict, except
+    # stdin, which passed bad bytes on as surrogates
+    argv, data, message = _unreadable_inputs()[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), errors="surrogateescape"))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_theory_verbs_call_the_library_through_its_modules(tmp_path, capsys, monkeypatch):
+    # perfbench/spans.py traces by rebinding module attributes, so the CLI
+    # must look each library function up in its module at call time
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[module.__name__, name] = calls.get((module.__name__, name), 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("mc_check", "conjugate", "trivialize"):
+        counting(mcx, name)
+    for name in ("mc_check", "gauge_act", "find_trivializer"):
+        counting(ainf, name)
+    tower = {"space": TOWER_SPACE, "truncation": 4, "operators": TOWER_OPERATORS}
+    runs = [
+        ("multicomplex", "mc-check", tower, "mc_check"),
+        ("multicomplex", "conjugate", CONJUGATE_RECORD, "conjugate"),
+        ("multicomplex", "trivialize", tower, "trivialize"),
+        ("ainf", "mc-check", GAUGED, "mc_check"),
+        ("ainf", "gauge-act", GAUGE_RECORD, "gauge_act"),
+        ("ainf", "trivialize", GAUGED, "find_trivializer"),
+    ]
+    for module, verb, record, name in runs:
+        infile = tmp_path / "in.json"
+        infile.write_text(json.dumps(record))
+        calls.clear()
+        code, _out, err = run(capsys, module, verb, str(infile))
+        assert (code, err) == (0, "")
+        assert calls.get((f"prelie.{module}", name), 0) == 1, (module, verb, calls)
 
 
 def _non_integer_inputs():

@@ -1,9 +1,9 @@
 """One-field mutations of valid JSON records, each run through the CLI.
 
-A seeded generator takes a valid element, tower or contraction record and
-changes one field: its value becomes a wrong type, a string that is no
-number, a float, a boolean or ``"1_0"``, a key of a space's ``"dims"`` is
-renamed to such a string, or a key the reader needs is dropped.  Every
+A seeded generator takes a valid element, tower, contraction or gauge-verb
+record and changes one field: its value becomes a wrong type, a string that
+is no number, a float, a boolean or ``"1_0"``, a key of a space's ``"dims"``
+is renamed to such a string, or a key the reader needs is dropped.  Every
 mutant is malformed input, so the CLI must exit 2 with one ``error:`` line
 and print nothing else; a traceback fails the test with the exception.
 """
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from helpers import acyclic_tower, massey_dga
+from helpers import acyclic_tower, massey_dga, random_gauge_element
 from prelie import multicomplex as mcx
 from prelie.ainf import contraction_to_dict, element_to_dict
 from prelie.cli import main
@@ -22,8 +22,10 @@ SEED = 20151
 CASES_PER_RECORD = 120
 BAD_VALUES = [[1], {"a": 1}, None, "x", "", 2.5, True, "1_0"]
 BAD_KEYS = ["x", "1_0", "2.5", "true"]
+# sub-records of the gauge verbs, whose keys all default: {"a": 1} reads as empty
+SUB_RECORDS = {"alpha", "structure", "gauge"}
 # keys a reader may do without: dropping one leaves a valid record
-OPTIONAL = {"target_space", "operations", "entries", "operators", "d", "i", "p", "h"}
+OPTIONAL = {"target_space", "operations", "entries", "operators", "d", "i", "p", "h"} | SUB_RECORDS
 UNREAD = {"kind"}  # written by tower_to_dict, never read back
 
 
@@ -72,6 +74,8 @@ def mutations(record, seed, count):
     out = []
     for path, _ in _paths(record):
         for value in BAD_VALUES:
+            if value == {"a": 1} and path[-1] in SUB_RECORDS:
+                continue
             out.append((f"{list(path)} = {value!r}", _edited(record, path, _set(value))))
         key = path[-1]
         if isinstance(key, str):
@@ -88,15 +92,28 @@ def mutations(record, seed, count):
 def _records():
     alpha, contraction = massey_dga(3)
     structure = element_to_dict(alpha)
+    tower = mcx.tower_to_dict(acyclic_tower(3))
+    lam = element_to_dict(random_gauge_element(alpha.source, 3, random.Random(SEED)))
+    conjugation = {
+        "space": tower["space"], "truncation": 3, "alpha": {"operators": tower["operators"]},
+        "gauge": {"operators": [{"weight": 1, "entries": [[0, 0, 0, "1/2"]]}]},
+    }
+    gauge = {
+        "space": structure["space"], "truncation": 3,
+        "structure": {"operations": structure["operations"]},
+        "gauge": {"operations": lam["operations"]},
+    }
     return {
         "element": (["ainf", "mc-check", "in.json"], structure, {}),
-        "tower": (["multicomplex", "mc-check", "in.json"], mcx.tower_to_dict(acyclic_tower(3)), {}),
+        "tower": (["multicomplex", "mc-check", "in.json"], tower, {}),
         "contraction": (["ainf", "transfer", "s.json", "in.json"], contraction_to_dict(contraction),
                         {"s.json": json.dumps(structure)}),
+        "conjugate": (["multicomplex", "conjugate", "in.json"], conjugation, {}),
+        "gauge-act": (["ainf", "gauge-act", "in.json"], gauge, {}),
     }
 
 
-@pytest.mark.parametrize("kind", ["element", "tower", "contraction"])
+@pytest.mark.parametrize("kind", ["element", "tower", "contraction", "conjugate", "gauge-act"])
 def test_one_field_mutants_exit_2(tmp_path, capsys, kind):
     argv, record, files = _records()[kind]
     for name, text in files.items():
