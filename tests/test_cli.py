@@ -535,22 +535,26 @@ def test_false_verdict_exact_output(tmp_path, capsys, case):
 
 
 def _found_inputs():
-    """Inputs with a true verdict of each trivializer: (argv, record)."""
+    """Inputs with a true verdict: (argv, record) per module and verb."""
     _alpha, c = acyclic_dga(truncation=4)
     gauged = gauge_act(random_gauge_element(c.big, 4, random.Random(3)),
                        element_from_map(c.d, 4))
+    tower = mcx.tower_to_dict(acyclic_tower())
     return {
-        "multicomplex-trivialize": (["multicomplex", "trivialize"],
-                                    mcx.tower_to_dict(acyclic_tower())),
+        "multicomplex-mc-check": (["multicomplex", "mc-check"], tower),
+        "multicomplex-trivialize": (["multicomplex", "trivialize"], tower),
+        "ainf-mc-check": (["ainf", "mc-check"], element_to_dict(gauged)),
         "ainf-trivialize": (["ainf", "trivialize"], element_to_dict(gauged)),
     }
 
 
 FOUND_TEXT = {
+    "multicomplex-mc-check": "maurer-cartan: PASS\n",
     "multicomplex-trivialize": (
         "trivializer: FOUND\n"
         "isotopy verified against the bare differential\n"
     ),
+    "ainf-mc-check": "maurer-cartan: PASS\n",
     "ainf-trivialize": "trivializer: FOUND\n",
 }
 
@@ -559,6 +563,8 @@ DGA_SPACE = {"dims": {"1": 1, "2": 1}}
 DGA_GAUGE = {"arity": 2, "degree": 0, "entries": [_entry([(1, 0), (1, 0)], (2, 0), "-1")]}
 
 FOUND_JSON = {
+    "multicomplex-mc-check": {"maurer_cartan": True},
+    "ainf-mc-check": {"maurer_cartan": True},
     "multicomplex-trivialize": {
         "trivial": True,
         "isotopy": {"kind": "gauge", "space": TOWER_SPACE, "truncation": 4, "operators": [
@@ -672,19 +678,6 @@ def test_multicomplex_conjugate_exact_output(tmp_path, capsys):
     assert (code, out, err) == (0, text, "")
     code, out, err = run(capsys, "multicomplex", "conjugate", str(infile), "--format", "json")
     assert (code, out, err) == (0, json.dumps(expected, indent=2, sort_keys=True) + "\n", "")
-
-
-@pytest.mark.parametrize("verb, record", [
-    (["multicomplex", "mc-check"], {"space": TOWER_SPACE, "truncation": 4,
-                                    "operators": TOWER_OPERATORS}),
-    (["ainf", "mc-check"], GAUGED),
-], ids=["multicomplex", "ainf"])
-def test_true_mc_verdict_exact_output(tmp_path, capsys, verb, record):
-    infile = tmp_path / "in.json"
-    infile.write_text(json.dumps(record))
-    assert run(capsys, *verb, str(infile)) == (0, "maurer-cartan: PASS\n", "")
-    code, out, err = run(capsys, *verb, str(infile), "--format", "json")
-    assert (code, out, err) == (0, '{\n  "maurer_cartan": true\n}\n', "")
 
 
 def _unreadable_inputs():
