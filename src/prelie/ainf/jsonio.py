@@ -13,7 +13,7 @@ the entry-list format of the multicomplex module.
 from __future__ import annotations
 
 from ..combination import add_into
-from ..errors import BoundsError, ValidationError
+from ..errors import BoundsError, ValidationError, shown
 from ..linalg import Contraction, GradedSpace
 from ..multicomplex import (
     json_coeff,
@@ -29,7 +29,7 @@ from ..multicomplex import (
 from .convolution import ConvElement, MultiOp
 
 # bound on the truncation arity of an element read from JSON: transfer takes
-# seconds at 8 and grows about fivefold per arity (trivialize: about 1 s at 8)
+# seconds at 8 and grows about fivefold per arity (trivialize: up to about 2 s at 8)
 MAX_TRUNCATION = 8
 
 
@@ -75,7 +75,7 @@ def element_from_dict(data: dict, source=None, target=None, truncation=None, deg
     json_object(data, "the structure")
     source, truncation = space_and_truncation(data, truncation, source)
     if truncation > MAX_TRUNCATION:
-        raise BoundsError(f"truncation arity must be <= {MAX_TRUNCATION}, got {truncation}")
+        raise BoundsError(f"truncation arity must be <= {MAX_TRUNCATION}, got {shown(truncation)}")
     if target is None:
         target = space_from_dict(data["target_space"]) if "target_space" in data else source
     degree = json_int(data.get("degree", degree), '"degree"')
@@ -84,11 +84,11 @@ def element_from_dict(data: dict, source=None, target=None, truncation=None, deg
         op = multiop_from_dict(op_data, source, target)
         if op.arity > truncation:
             raise ValidationError(
-                f"operation of arity {op.arity} above the truncation {truncation}"
+                f"operation of arity {shown(op.arity)} above the truncation {truncation}"
             )
         if op.degree != degree:
             raise ValidationError(
-                f"operation of degree {op.degree} in a degree-{degree} element"
+                f"operation of degree {shown(op.degree)} in a degree-{shown(degree)} element"
             )
         add_into(components, op.arity, op)
     return ConvElement(source, target, truncation, degree, components)

@@ -18,10 +18,11 @@ extended inclusion, and extended projection are
     beta = delta_H + p (abar (o) Phi) i,   i_inf = Phi (o) i,   p_inf = p (o) Psi.
 
 ``transfer`` verifies the defining identities exactly and reports them by
-name.  The same gauges decide triviality (:func:`calculus.trivialize`):
-``is_gauge_trivial`` for a given contraction onto the homology, and
-``find_trivializer``, which also returns the isotopy, for the one of
-:func:`linalg.contraction_of`.
+name.  Onto the homology, a structure is gauge trivial iff its transferred
+structure is its differential, and the two gauges then build the isotopy
+(:func:`calculus.trivialize`): ``is_gauge_trivial`` decides for a given
+contraction onto the homology, and ``find_trivializer``, which also returns
+the isotopy, for the one of :func:`linalg.contraction_of`.
 """
 
 from __future__ import annotations
@@ -178,25 +179,13 @@ def _phi_inv(abar: ConvElement, c: Contraction) -> ConvElement:
     return unit_element(abar.source, abar.truncation) - h_push(abar, c)
 
 
-def _phi(abar: ConvElement, c: Contraction) -> ConvElement:
-    return circle_inverse(_phi_inv(abar, c))
-
-
 def _psi(abar: ConvElement, c: Contraction) -> ConvElement:
     return calculus.psi_series(abar, lambda y: h_star(y, c))
 
 
-def _hat(alpha: ConvElement, phi_inv: ConvElement, phi: ConvElement) -> ConvElement:
-    return circle(star(phi_inv, alpha), phi)
-
-
-def _check(alpha: ConvElement, psi: ConvElement) -> ConvElement:
-    return circle(star(psi, alpha), circle_inverse(psi))
-
-
 def phi_kernel(alpha: ConvElement, c: Contraction) -> ConvElement:
     """The output-restricting kernel: fixed point of Phi = 1 + (h abar) (o) Phi."""
-    return _phi(_abar(alpha, c), c)
+    return circle_inverse(_phi_inv(_abar(alpha, c), c))
 
 
 def psi_kernel(alpha: ConvElement, c: Contraction) -> ConvElement:
@@ -211,12 +200,13 @@ def psi_kernel(alpha: ConvElement, c: Contraction) -> ConvElement:
 def alpha_hat(alpha: ConvElement, c: Contraction) -> ConvElement:
     """Gauge twist  (Phi^{-1} * alpha) (o) Phi ; outputs land in i(H)."""
     phi_inv = _phi_inv(_abar(alpha, c), c)
-    return _hat(alpha, phi_inv, circle_inverse(phi_inv))
+    return circle(star(phi_inv, alpha), circle_inverse(phi_inv))
 
 
 def alpha_check(alpha: ConvElement, c: Contraction) -> ConvElement:
     """Gauge twist  (Psi * alpha) (o) Psi^{-1} ; inputs factor through i(H)."""
-    return _check(alpha, psi_kernel(alpha, c))
+    psi = psi_kernel(alpha, c)
+    return circle(star(psi, alpha), circle_inverse(psi))
 
 
 @dataclass
@@ -267,8 +257,8 @@ def transfer(alpha: ConvElement, c: Contraction) -> TransferResult:
     i_inf = circle(phi, i_elt)
     p_inf = circle(p_elt, psi)
 
-    hat = _hat(alpha, phi_inv, phi)
-    check = _check(alpha, psi)
+    hat = circle(star(phi_inv, alpha), phi)
+    check = circle(star(psi, alpha), circle_inverse(psi))
     delta_big = element_from_map(c.d, A)
     checks = [
         ("maurer_cartan_beta", mc_check(beta).ok),
@@ -312,10 +302,10 @@ def find_trivializer(alpha: ConvElement) -> calculus.Trivialization:
     """Decide whether a Maurer-Cartan structure is gauge trivial, and find
     f = 1 + f_(1) + ... with  f * delta = alpha (o) f  if it is.
 
-    :func:`calculus.trivialize` twists ``alpha`` by the gauges of the
-    contraction of delta from :func:`linalg.contraction_of`; a NOT FOUND is
-    exact and names the lowest arity where the twisted structure differs
-    from delta.  A found f that fails the infinity-morphism equation is a
+    :func:`calculus.trivialize` transfers ``alpha`` along the contraction
+    of delta from :func:`linalg.contraction_of`; a NOT FOUND is exact and
+    names the lowest arity where the transferred structure differs from
+    delta.  A found f that fails the infinity-morphism equation is a
     library bug and raises ``InternalCheckError``.
     """
     _require_mc(alpha)

@@ -18,10 +18,10 @@ Magnus-style logarithm, symmetric braces and circle-product inverses are
 implemented once.
 
 The deformation theory is written here once too: the Maurer-Cartan report,
-the gauge action, and the trivializer with its result, which twists a
-structure by the two gauges of a contraction onto the homology and so
-decides gauge triviality; operator towers are its associative case, where
-the circle product is the product.
+the gauge action, and the trivializer with its result, which decides gauge
+triviality by the structure's transfer to the homology and builds the
+isotopy from the two gauges of the contraction; operator towers are its
+associative case, where the circle product is the product.
 Reports name the failing component by its ``stage``, the key of that
 component: a weight for towers, an arity for convolution elements.
 """
@@ -65,7 +65,7 @@ def mc_report(alpha) -> MCReport:
 @dataclass
 class Trivialization:
     """Either an isotopy f trivializing a structure, with its logarithm, or
-    the lowest stage where the structure, twisted towards its homology,
+    the lowest stage where the structure, transferred to its homology,
     still differs from its differential, with that component as residual."""
 
     found: bool
@@ -203,22 +203,24 @@ def trivialize(alpha, h, pullback) -> Trivialization:
     f * delta = alpha (o) f  if it is, delta the weight-0 part of ``alpha``.
 
     ``h`` is the homotopy of a contraction of delta onto its homology, as a
-    weight-0 element, and ``pullback`` is h^*.  Phi^{-1} = 1 - h * abar
-    restricts the outputs of alpha-hat = (Phi^{-1} * alpha) (o) Phi  to the
-    homology, and Psi, the :func:`psi_series` of alpha-hat, its inputs.  By
-    the transfer theorem alpha is gauge trivial iff G = Psi (o) Phi^{-1}
-    takes it to delta; then f = G^{-1}, with the logarithm whose gauge
-    action takes delta to alpha.  Otherwise the lowest stage where
-    (G * alpha) (o) G^{-1} differs from delta is named, with that component.
+    weight-0 element, and ``pullback`` is h^*; pi = i p = 1 + delta*h + h*delta
+    by the contraction identity.  Phi^{-1} = 1 - h * abar  restricts the
+    outputs of  alpha-hat = (Phi^{-1} * alpha) (o) Phi = delta + pi (o) (abar (o) Phi)
+    to the homology, and Psi, the :func:`psi_series` of alpha-hat - delta,
+    twists its inputs there too, to  delta + (alpha-hat - delta) (o) pi.  By
+    the transfer theorem alpha is gauge trivial iff that is delta; then
+    f = (Psi (o) Phi^{-1})^{-1}, with the logarithm whose gauge action takes
+    delta to alpha.  Otherwise the lowest stage where
+    (alpha-hat - delta) (o) pi is non-zero is named, with that component.
     """
     delta = alpha.weight_component(0)
     unit = alpha.unit_like()
+    pi = unit + delta.star(h) + h.star(delta)
     phi_inv = unit - h.star(alpha - delta)
-    hat = phi_inv.star(alpha).circle(circle_inverse(phi_inv))
-    g = psi_series(hat - delta, pullback).circle(phi_inv)
-    f = circle_inverse(g)
-    rest = g.star(alpha).circle(f) - delta
+    hat_bar = pi.circle((alpha - delta).circle(circle_inverse(phi_inv)))
+    rest = hat_bar.circle(pi)
     if rest.components:
         stage = min(rest.components)
         return Trivialization(False, stage=stage, residual=rest.components[stage])
+    f = circle_inverse(psi_series(hat_bar, pullback).circle(phi_inv))
     return Trivialization(True, f=f, log=magnus_series(f - unit))

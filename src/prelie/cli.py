@@ -29,7 +29,7 @@ from typing import Callable
 
 from . import ainf, multicomplex, series, trees
 from .combination import parse_number
-from .errors import DomainError, InternalCheckError, ParseError, PreLieError, ValidationError
+from .errors import DomainError, InternalCheckError, ParseError, PreLieError, ValidationError, shown
 
 DEFAULT_ORDER = 6
 # bound on --order of the prelie verbs: order 8 takes seconds, order 9 minutes
@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "order", 0) > MAX_ORDER:
-            raise DomainError(f"truncation order must be <= {MAX_ORDER}, got {args.order}")
+            raise DomainError(f"truncation order must be <= {MAX_ORDER}, got {shown(args.order)}")
         return args.handler(args)
     except BrokenPipeError:
         return 0
@@ -61,7 +61,7 @@ def _integer(text: str) -> int:
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, shown
 
 
 def parse_number(value, kind, where: str):
@@ -22,7 +22,7 @@ def parse_number(value, kind, where: str):
     underscores ("1_0") that Python's number parsers accept; the refusal is a
     ValidationError naming ``where``."""
     if isinstance(value, str) and "_" in value:
-        raise ValidationError(f"{where} must not group digits with '_', got {value!r}")
+        raise ValidationError(f"{where} must not group digits with '_', got {shown(value)}")
     return kind(value)
 
 

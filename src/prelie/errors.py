@@ -1,4 +1,11 @@
-"""Exception types shared by all prelie modules."""
+"""Exception types shared by all prelie modules, and the excerpt of a value their messages show."""
+
+
+def shown(value, limit: int = 40) -> str:
+    """``repr(value)`` cut after ``limit`` characters, its length named, so
+    that an error message does not echo a huge input whole."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 class PreLieError(Exception):

@@ -5,10 +5,10 @@ together with higher operators d_n of degree 2n - 1; the square-zero
 condition  sum_{i+j=n} d_i d_j = 0  is the Maurer-Cartan equation of the
 associative convolution product implemented by :func:`star`.  Gauge towers
 carry degree 2n per weight, exponentiate classically, and act on structure
-towers by conjugation.  ``trivialize`` decides gauge triviality, and solves
-f * delta = alpha * f, by the gauges of a contraction onto the homology
-(the homological perturbation lemma).  Both come from :mod:`calculus`, of
-which towers are the associative case.
+towers by conjugation.  ``trivialize`` decides gauge triviality by the
+transfer to the homology (the homological perturbation lemma), and solves
+f * delta = alpha * f by the gauges of the contraction onto it.  Both come
+from :mod:`calculus`, of which towers are the associative case.
 
 Degree convention: weight n of a structure tower has degree 2n - 1 (the
 weight-0 slot holds the degree -1 differential).  Other gradings can be
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import calculus
 from .combination import Combination, add_into, parse_number
-from .errors import DomainError, InternalCheckError, ShapeError, ValidationError
+from .errors import DomainError, InternalCheckError, ShapeError, ValidationError, shown
 from .linalg import GradedMap, GradedSpace, contraction_of
 
 STRUCTURE = -1  # per-weight degree 2n - 1
@@ -219,28 +219,26 @@ def json_list(value, where: str):
     return value
 
 
-def json_int(value, where: str) -> int:
-    """``value`` as an integer, read from a JSON integer or a string of one.
-    Anything else is a ValidationError naming ``where``: a float (JSON
-    ``2.9``, ``1e400``, ``Infinity``), a boolean, a string with ``_`` or one
-    that is no integer, null, a list or an object."""
+def json_int(value, where: str, kind=int):
+    """``value`` as ``kind``, read from a JSON integer or a string of one (of
+    an exact rational such as ``"-3/4"`` for ``Fraction``).  Anything else is
+    a ValidationError naming ``where``: a float (JSON ``2.9``, ``1e400``,
+    ``Infinity``), a boolean, a string with ``_`` or one that is no number,
+    null, a list or an object."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return parse_number(value, int, where)
+            return parse_number(value, kind, where)
         except ValidationError:
             raise
-        except ValueError:
+        except (ValueError, ZeroDivisionError):  # int and Fraction echo the value whole
             pass
-    raise ValidationError(f"{where} must be an integer, got {value!r}")
+    what = "an integer" if kind is int else "an integer or a rational string"
+    raise ValidationError(f"{where} must be {what}, got {shown(value)}")
 
 
 def json_coeff(value, where: str) -> Fraction:
-    """``value`` as an exact rational, e.g. ``"-3/4"``; a float, inexact and
-    possibly infinite, a boolean or a string with ``_`` is a ValidationError
-    naming ``where``."""
-    if isinstance(value, (bool, float)):
-        raise ValidationError(f"{where} must be an integer or a rational string, got {value!r}")
-    return parse_number(value, Fraction, where)
+    """``value`` as an exact rational, read as :func:`json_int` says."""
+    return json_int(value, where, Fraction)
 
 
 def space_to_dict(space: GradedSpace) -> dict:
@@ -271,7 +269,7 @@ def map_entries_from_list(entries, source, target, degree) -> GradedMap:
             key = tuple(json_int(x, "a degree or index") for x in (sdeg, sidx, tidx))
             out[key] = out.entries.get(key, 0) + json_coeff(coeff, "a coefficient")
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad operator entry {row!r}: {exc}") from None
+        raise ValidationError(f"bad operator entry {shown(row)}: {exc}") from None
     return out
 
 
@@ -305,7 +303,7 @@ def space_and_truncation(data, truncation=None, space=None):
             raise
         n = 0
     if n < 1:
-        raise ValidationError(f"truncation must be a positive integer, got {truncation!r}")
+        raise ValidationError(f"truncation must be a positive integer, got {shown(truncation)}")
     return space, n
 
 
@@ -320,7 +318,8 @@ def tower_from_dict(data: dict, offset: int = STRUCTURE, space=None, truncation=
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad operator record: {exc}") from None
         if not 0 <= weight <= truncation:
-            raise ValidationError(f"operator of weight {weight} outside 0..{truncation}")
+            raise ValidationError(
+                f"operator of weight {shown(weight)} outside 0..{shown(truncation)}")
         add_into(components, weight, map_entries_from_list(
             op.get("entries", ()), space, space, 2 * weight + offset
         ))

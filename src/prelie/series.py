@@ -21,13 +21,13 @@ from fractions import Fraction
 
 from . import calculus
 from .combination import Combination, add_into, parse_number
-from .errors import DomainError, ParseError, TruncationMismatch
+from .errors import DomainError, ParseError, TruncationMismatch, shown
 from .trees import LabeledTree, _canonical_tree, _parse_tree
 
 
 def _require_order(order: int) -> None:
     if order < 1:
-        raise DomainError(f"truncation order must be >= 1, got {order}")
+        raise DomainError(f"truncation order must be >= 1, got {shown(order)}")
 
 
 class TreeSeries(Combination):
@@ -399,7 +399,7 @@ def eval_tree(tree: LabeledTree, values):
     try:
         root = values[tree.label]
     except KeyError:
-        raise KeyError(f"generator {tree.label!r} is not bound in the context") from None
+        raise KeyError(f"generator {shown(tree.label)} is not bound in the context") from None
     return calculus.symmetric_brace(root, [eval_tree(c, values) for c in tree.children])
 
 
@@ -426,7 +426,7 @@ def parse_series(text: str, order: int) -> TreeSeries:
             coeff = parse_number(fields[0], Fraction, "a coefficient")
         except (ValueError, ZeroDivisionError):
             raise ParseError(
-                f"bad rational coefficient {fields[0]!r}", f"line {lineno}"
+                f"bad rational coefficient {shown(fields[0])}", f"line {lineno}"
             ) from None
         try:
             tree, end = _parse_tree(fields[1], 0)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .errors import BoundsError, InternalCheckError, ParseError, ValidationError
+from .errors import BoundsError, InternalCheckError, ParseError, ValidationError, shown
 
 DEFAULT_MAX_VERTICES = 10
 
@@ -217,14 +217,14 @@ def enumerate_trees(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> list:
     Deterministic order (sorted by canonical key), no duplicates.
     """
     if not 1 <= n <= max_vertices:
-        raise BoundsError(f"vertex count must be in 1..{max_vertices}, got {n}")
+        raise BoundsError(f"vertex count must be in 1..{max_vertices}, got {shown(n)}")
     return list(_trees(n))
 
 
 def enumerate_forests(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> list:
     """All nonempty unlabeled forests with exactly ``n`` vertices, deterministic order."""
     if not 1 <= n <= max_vertices:
-        raise BoundsError(f"vertex count must be in 1..{max_vertices}, got {n}")
+        raise BoundsError(f"vertex count must be in 1..{max_vertices}, got {shown(n)}")
     return [Forest(f) for f in _forest_tuples(n)]
 
 

@@ -35,10 +35,10 @@ from prelie.ainf import (
     star,
     unit_element,
 )
-from prelie.ainf.transfer import _abar, _phi, _psi, h_star
+from prelie.ainf.transfer import _abar, _psi, h_star, phi_kernel
 from prelie.combination import add_into, put
 from prelie.errors import BoundsError, DomainError, ShapeError
-from prelie.linalg import GradedMap, GradedSpace, solve_sparse
+from prelie.linalg import GradedMap, GradedSpace, contraction_of, solve_sparse
 from prelie.series import LabeledTree, TreeSeries, bracket, eval_tree
 from prelie.trees import Levelization, aut_order, enumerate_trees, forest_structure
 from prelie import multicomplex as mcx
@@ -835,6 +835,44 @@ def tower_keys(entries: dict) -> dict:
     return {(s, i, t): c for (((s, i),), (_, t)), c in entries.items()}
 
 
+def space_and_differential(alpha):
+    """The space of a convolution element or an operator tower, and its
+    differential (the arity-1 or the weight-0 part) as a ``GradedMap``."""
+    if isinstance(alpha, mcx.OperatorTower):
+        return alpha.space, alpha.component(0)
+    space, d_op = alpha.source, alpha.component(1)
+    return space, GradedMap(space, space, d_op.degree,
+                            {(*a, b[1]): c for ((a,), b), c in d_op.entries.items()})
+
+
+def homotopy_and_pullback(alpha):
+    """The homotopy h of :func:`linalg.contraction_of` as a weight-0
+    element, and the pullback h^* along it, as ``find_trivializer`` and
+    ``multicomplex.trivialize`` pass them to ``calculus.trivialize``."""
+    space, d = space_and_differential(alpha)
+    c = contraction_of(space, d)
+    if isinstance(alpha, mcx.OperatorTower):
+        h = mcx.OperatorTower(space, alpha.truncation, 1, {0: c.h})
+        return h, lambda y: y.star(h) * -1
+    return element_from_map(c.h, alpha.truncation), lambda y: h_star(y, c)
+
+
+def twist_residual(alpha, h, pullback):
+    """(G * alpha) (o) G^{-1} - delta, for the two gauges G = Psi (o) Phi^{-1}
+    of a contraction of delta onto its homology: Phi^{-1} = 1 - h * abar,
+    and Psi the ``psi_series`` of alpha-hat - delta, with
+    alpha-hat = (Phi^{-1} * alpha) (o) Phi.  The full twist: it is zero
+    exactly when alpha is gauge trivial.  ``calculus.trivialize`` reads the
+    same element off the transferred structure, as (alpha-hat - delta) (o) pi.
+    """
+    delta = alpha.weight_component(0)
+    unit = alpha.unit_like()
+    phi_inv = unit - h.star(alpha - delta)
+    hat = phi_inv.star(alpha).circle(calculus.circle_inverse(phi_inv))
+    g = calculus.psi_series(hat - delta, pullback).circle(phi_inv)
+    return g.star(alpha).circle(calculus.circle_inverse(g)) - delta
+
+
 def trivialize_by_stages(alpha) -> calculus.Trivialization:
     """Solve  f * delta = alpha (o) f  for f = 1 + f_1 + ... one weight at a
     time, for a convolution element or an operator tower.
@@ -847,17 +885,12 @@ def trivialize_by_stages(alpha) -> calculus.Trivialization:
     unmatched part as the residual, but proves nothing on its own.
     """
     delta = alpha.weight_component(0)
+    space, d = space_and_differential(alpha)
     if isinstance(alpha, mcx.OperatorTower):
-        space, d = alpha.space, alpha.component(0)
-
         def solve(n, rhs):
             ok, entries, residual = solve_stage(*stage_rows(space, 1, 2 * n, d), arity_one(rhs))
             return ok, tower_keys(entries), tower_keys(residual)
     else:
-        space, d_op = alpha.source, alpha.component(1)
-        d = GradedMap(space, space, d_op.degree,
-                      {(*a, b[1]): c for ((a,), b), c in d_op.entries.items()})
-
         def solve(n, rhs):
             return solve_stage(*stage_rows(space, n, 0, d), rhs.entries)
     f = alpha.unit_like()
@@ -1133,7 +1166,7 @@ def tech_r_check(alpha, c, xs=None) -> bool:
     with  R(x) = -h^*(x * abar).
     """
     abar = _abar(alpha, c)
-    phi = _phi(abar, c)
+    phi = phi_kernel(alpha, c)
     psi = _psi(abar, c)
     pi_elt = element_from_map(c.pi, alpha.truncation)
     lhs = circle(star(psi, abar), pi_elt)

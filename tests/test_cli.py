@@ -820,6 +820,41 @@ def test_digit_group_underscore_exit_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and message in err
 
 
+def _huge_value_inputs():
+    """(argv, file name, text, location): a value thousands of characters
+    long where a reader refuses it; the message shows an excerpt of it."""
+    big = "1" * 5000
+    tower = mcx.tower_to_dict(acyclic_tower())
+    structure = element_to_dict(massey_dga()[0])
+    tower_coeff = json.loads(json.dumps(tower))
+    tower_coeff["operators"][0]["entries"][0][3] = big
+    ainf_coeff = json.loads(json.dumps(structure))
+    ainf_coeff["operations"][0]["entries"][0][2] = "x" * 5000
+    mc, ainf_mc = ["multicomplex", "mc-check"], ["ainf", "mc-check"]
+    return {
+        "tower-coeff": (mc, "in.json", json.dumps(tower_coeff), "bad operator entry [1, 0, 0, '1"),
+        "ainf-coeff": (ainf_mc, "in.json", json.dumps(ainf_coeff),
+                       "bad operation record: a coefficient must be"),
+        "tower-truncation": (mc, "in.json", json.dumps({**tower, "truncation": big}),
+                             "truncation must be a positive integer, got '1"),
+        "ainf-truncation-bound": (ainf_mc, "in.json", json.dumps({**structure, "truncation": big[:4000]}),
+                                  "truncation arity must be <= 8, got 1"),
+        "series-coeff": (["prelie", "exp"], "in.txt", f"1 (a)\n{big} (b)\n",
+                         "line 2: bad rational coefficient '1"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_huge_value_inputs()))
+def test_huge_value_is_cut_in_the_message(tmp_path, capsys, case):
+    verb, name, text, location = _huge_value_inputs()[case]
+    f = tmp_path / name
+    f.write_text(text)
+    code, out, err = run(capsys, *verb, str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {location}") and err.count("\n") == 1
+    assert "characters)" in err and len(err) < 250
+
+
 @pytest.mark.parametrize("argv, option", [
     (["prelie", "bch", "x", "y", "--order", "0_2"], "--order"),
     (["trees", "enumerate", "--vertices", "0_3"], "--vertices"),

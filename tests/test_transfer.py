@@ -51,7 +51,7 @@ from prelie.ainf import (
     transfer,
     unit_element,
 )
-from prelie.ainf.transfer import h_push, _abar, _phi, _psi
+from prelie.ainf.transfer import h_push, _abar, _psi
 from prelie.errors import DomainError, ValidationError
 from prelie.linalg import GradedMap, GradedSpace
 
@@ -190,7 +190,7 @@ def test_psi_phi_sum_fails_on_a_valid_input():
     assert c.h.compose(c.incl).is_zero()
     assert mc_check(alpha).ok
     abar = _abar(alpha, c)
-    phi, psi = _phi(abar, c), _psi(abar, c)
+    phi, psi = phi_kernel(alpha, c), _psi(abar, c)
     assert circle(psi, phi) != psi + phi - unit_element(c.big, 4)
     result = transfer(alpha, c)
     assert result.all_green()

@@ -1,14 +1,17 @@
-"""The trivializer by the transfer theorem, against the stage-wise oracle.
+"""The trivializer by the transfer theorem, against two oracles and known answers.
 
 ``linalg.contraction_of`` contracts any drawn complex (V, d) onto its
 homology: the constructor of ``Contraction`` re-checks the five identities,
 and the small space has dimension dim ker - dim im in each degree.  On
-A-infinity elements, gauged or not, and on operator towers, the twist of
+A-infinity elements, gauged or not, and on operator towers,
 ``calculus.trivialize`` reaches the verdict of the greedy stage-wise search
-``helpers.trivialize_by_stages`` and reports the same NOT FOUND stage; a
+``helpers.trivialize_by_stages`` and reports the same NOT FOUND stage; it
+finds f exactly when the full twist ``helpers.twist_residual`` is zero, and
+a NOT FOUND's stage and residual are the lowest component of that twist.  A
 found f is an infinity-morphism (an isotopy, for towers) from the
 differential, and the gauge action of its logarithm takes the differential
-to the structure.
+to the structure.  Towers built as sums of pieces x -> y with a known
+obstruction get the known verdict and stage.
 """
 
 import random
@@ -21,7 +24,9 @@ from helpers import (
     acyclic_dga,
     acyclic_tower,
     bicomplex_tower,
+    COEFF_CHOICES,
     formal_dga,
+    homotopy_and_pullback,
     line_dga,
     massey_dga,
     obstructed_tower,
@@ -29,10 +34,11 @@ from helpers import (
     random_gauge_element,
     random_gauge_tower,
     trivialize_by_stages,
+    twist_residual,
 )
 from prelie import multicomplex as mcx
 from prelie.ainf import element_from_map, find_trivializer, gauge_act, inf_morphism_check
-from prelie.linalg import Contraction, GradedMap, contraction_of
+from prelie.linalg import Contraction, GradedMap, GradedSpace, contraction_of
 
 LAWS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 SEEDS = st.integers(0, 10**6)
@@ -58,13 +64,8 @@ def _rank(rows) -> int:
     return rank
 
 
-@st.composite
-def complexes(draw, maxdim=2, npairs=4):
-    """(V, d): the split differential of a random contraction, conjugated by
-    a random unitriangular change of basis in each degree."""
-    rng = random.Random(draw(SEEDS))
-    c = random_contraction(rng, ndeg=3, maxdim=maxdim, npairs=draw(st.integers(0, npairs)))
-    space = c.big
+def _unitriangular(space, rng):
+    """A random unitriangular change of basis in each degree, and its inverse."""
     lower = GradedMap(space, space, 0)
     for deg, dim in space.dims.items():
         for i in range(dim):
@@ -75,7 +76,17 @@ def complexes(draw, maxdim=2, npairs=4):
     for k in range(1, max(space.dims.values(), default=0)):
         inverse = inverse + power * (-1) ** k  # (1 + N)^(-1) = sum (-N)^k, N nilpotent
         power = power.compose(lower)
-    return space, (GradedMap.identity(space) + lower).compose(c.d).compose(inverse)
+    return GradedMap.identity(space) + lower, inverse
+
+
+@st.composite
+def complexes(draw, maxdim=2, npairs=4):
+    """(V, d): the split differential of a random contraction, conjugated by
+    a random unitriangular change of basis in each degree."""
+    rng = random.Random(draw(SEEDS))
+    c = random_contraction(rng, ndeg=3, maxdim=maxdim, npairs=draw(st.integers(0, npairs)))
+    change, inverse = _unitriangular(c.big, rng)
+    return c.big, change.compose(c.d).compose(inverse)
 
 
 @LAWS
@@ -134,12 +145,57 @@ def towers(draw):
     return alpha
 
 
+@st.composite
+def known_towers(draw):
+    """(alpha, stage): a direct sum of pieces x -> y, d_k x = y with
+    |y| = |x| + 2k - 1, and of free classes, moved by a random unitriangular
+    change of basis in weight 0 and then by a random gauge.  A piece with
+    k = 0 is acyclic, and one with k >= 1 is a pair of homology classes
+    joined by d_k, which no gauge removes; so alpha is gauge trivial iff no
+    piece has 1 <= k <= max_weight, and otherwise ``stage`` is the least such k
+    (it is None for a trivial alpha)."""
+    rng = random.Random(draw(SEEDS))
+    truncation = draw(st.integers(1, 4))
+    pieces = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))
+    free = draw(st.lists(st.integers(0, 3), min_size=0 if pieces else 1, max_size=2))
+    dims = {}
+
+    def basis_vector(deg):
+        dims[deg] = dims.get(deg, 0) + 1
+        return deg, dims[deg] - 1
+
+    placed = [(k, basis_vector(x), basis_vector(x + 2 * k - 1)) for x, k in pieces]
+    for deg in free:
+        basis_vector(deg)
+    space = GradedSpace(dims)
+    components = {}
+    for k, (xdeg, xidx), (_ydeg, yidx) in placed:
+        if k <= truncation:
+            d_k = components.setdefault(k, GradedMap(space, space, 2 * k - 1))
+            d_k[xdeg, xidx, yidx] = rng.choice(COEFF_CHOICES)
+    change, inverse = _unitriangular(space, rng)
+    alpha = mcx.structure_tower(space, truncation, {
+        k: change.compose(d_k).compose(inverse) for k, d_k in components.items()})
+    alpha = mcx.conjugate(random_gauge_tower(space, truncation, rng, draw(st.integers(1, 3))), alpha)
+    stages = [k for k, _x, _y in placed if 1 <= k <= alpha.max_weight]
+    return alpha, min(stages, default=None)
+
+
+def _assert_the_full_twist_agrees(alpha, result):
+    rest = twist_residual(alpha, *homotopy_and_pullback(alpha))
+    assert result.found == rest.is_zero()
+    if not result.found:
+        assert result.stage == min(rest.components)
+        assert result.residual == rest.components[result.stage]
+
+
 @LAWS
 @given(ainf_structures())
 def test_ainf_twist_agrees_with_the_stage_search(alpha):
     result = find_trivializer(alpha)
     oracle = trivialize_by_stages(alpha)
     assert result.found == oracle.found
+    _assert_the_full_twist_agrees(alpha, result)
     delta = alpha.weight_component(0)
     if result.found:
         assert inf_morphism_check(result.f, delta, alpha)
@@ -154,9 +210,20 @@ def test_tower_twist_agrees_with_the_stage_search(alpha):
     result = mcx.trivialize(alpha)
     oracle = trivialize_by_stages(alpha)
     assert result.found == oracle.found
+    _assert_the_full_twist_agrees(alpha, result)
     delta = alpha.weight_component(0)
     if result.found:
         assert mcx.isotopy_check(result.f, delta, alpha)
         assert mcx.conjugate(result.log, delta) == alpha
     else:
         assert result.stage == oracle.stage
+
+
+@LAWS
+@given(known_towers())
+def test_tower_trivializer_gives_the_known_answer(case):
+    alpha, stage = case
+    result = mcx.trivialize(alpha)
+    assert result.found == (stage is None)
+    if stage is not None:
+        assert result.stage == stage
