@@ -67,17 +67,17 @@ def element_to_dict(elt: ConvElement) -> dict:
     }
 
 
-def element_from_dict(data: dict, source=None, target=None, truncation=None, degree=-1) -> ConvElement:
+def element_from_dict(data: dict, source=None, truncation=None, degree=-1) -> ConvElement:
     """The element of a JSON record, whose space and truncation are read as
     :func:`space_and_truncation` says, with ``source`` as the space; the
-    target space defaults to the source and ``degree`` applies to a record
-    that names none.  Operations of one arity are summed."""
+    target space is the record's ``"target_space"``, by default the source,
+    and ``degree`` applies to a record that names none.  Operations of one
+    arity are summed."""
     json_object(data, "the structure")
     source, truncation = space_and_truncation(data, truncation, source)
     if truncation > MAX_TRUNCATION:
         raise BoundsError(f"truncation arity must be <= {MAX_TRUNCATION}, got {shown(truncation)}")
-    if target is None:
-        target = space_from_dict(data["target_space"]) if "target_space" in data else source
+    target = space_from_dict(data["target_space"]) if "target_space" in data else source
     degree = json_int(data.get("degree", degree), '"degree"')
     components = {}
     for op_data in json_list(data.get("operations", ()), '"operations"'):

@@ -6,8 +6,9 @@ one dict of non-zero values keyed by basis elements.  The values are
 ``Fraction`` coefficients, or, for the towers and convolution elements,
 combinations themselves (one graded map or multilinear operation per weight).
 The JSON readers and the series text format read numbers by :func:`parse_number`.
-:class:`Combination` gives all of them the vector-space operations, and
-:func:`add_into` is the accumulation step of every product loop.
+:class:`Combination` gives all of them the vector-space operations, equality
+and the zero test, which none of them overrides, and :func:`add_into` is the
+accumulation step of every product loop.
 """
 
 from __future__ import annotations

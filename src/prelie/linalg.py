@@ -17,7 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combination import Combination, add_into, put
-from .errors import ShapeError, ValidationError
+from .errors import BoundsError, ShapeError, ValidationError, shown
+
+# bound on the total dimension of a space whose basis is listed: trivializing
+# a tower whose d is diagonal takes about 1.5 s at 4096 dimensions, 15 s at 16000
+MAX_DIMENSION = 4096
 
 
 class GradedSpace:
@@ -43,6 +47,9 @@ class GradedSpace:
 
     def basis(self):
         """All basis labels ``(degree, index)`` in deterministic order."""
+        total = sum(self.dims.values())
+        if total > MAX_DIMENSION:
+            raise BoundsError(f"total dimension must be <= {MAX_DIMENSION}, got {shown(total)}")
         return [(deg, i) for deg, dim in self.dims.items() for i in range(dim)]
 
     def has_basis(self, b) -> bool:
@@ -122,11 +129,6 @@ class GradedMap(Combination):
             for tidx, c2 in outer.get((sdeg + other.degree, mid), ()):
                 add_into(out.entries, (sdeg, sidx, tidx), c1 * c2)
         return out
-
-    def __hash__(self):
-        return hash(
-            (self.source, self.target, self.degree, frozenset(self.entries.items()))
-        )
 
     def __repr__(self):
         return (

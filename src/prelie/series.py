@@ -1,11 +1,12 @@
 """Truncated free pre-Lie algebra on labeled rooted trees.
 
 Generators are plain string symbols of homological degree 0.  A series is a
-finite rational combination of generator-labeled rooted trees plus a scalar
-multiple of the unit (the vertex-free tree), truncated at a fixed vertex
-count.  The grafting product, symmetric braces, circle product, exponential,
-Magnus logarithm, group-like inversion, Lie bracket, BCH product and the
-gauge action are provided as module-level functions.
+finite rational combination of generator-labeled rooted trees, truncated at a
+fixed vertex count.  Its unit part is the coefficient of the vertex-free tree
+:data:`prelie.trees.UNIT`, one more key of the same combination.  The
+grafting product, symmetric braces, circle product, exponential, Magnus
+logarithm, group-like inversion, Lie bracket, BCH product and the gauge
+action are provided as module-level functions.
 
 The unit is one-sided:  1 * x = x,  while grafting the unit on the right
 contributes nothing (x * 1 = 0 on the pure-unit part).  This convention is
@@ -22,7 +23,7 @@ from fractions import Fraction
 from . import calculus
 from .combination import Combination, add_into, parse_number
 from .errors import DomainError, ParseError, TruncationMismatch, shown
-from .trees import LabeledTree, _canonical_tree, _parse_tree
+from .trees import UNIT, LabeledTree, _canonical_tree, _parse_tree
 
 
 def _require_order(order: int) -> None:
@@ -31,9 +32,10 @@ def _require_order(order: int) -> None:
 
 
 class TreeSeries(Combination):
-    """Finite rational combination of labeled trees, truncated in vertex count."""
+    """Finite rational combination of labeled trees, truncated in vertex count;
+    ``unit`` is added to the coefficient of the vertex-free tree :data:`UNIT`."""
 
-    __slots__ = ("order", "unit", "terms")
+    __slots__ = ("order", "terms")
     _shape = ("order",)
     _store = "terms"
     _mismatch = TruncationMismatch
@@ -41,13 +43,14 @@ class TreeSeries(Combination):
     def __init__(self, order: int, unit=0, terms=None):
         _require_order(order)
         self.order = order
-        self.unit = Fraction(unit)
         clean = {}
         if terms:
             for tree, coeff in terms.items():
                 coeff = Fraction(coeff)
                 if coeff and tree.nvertices <= order:
                     clean[tree] = coeff
+        if unit:
+            add_into(clean, UNIT, Fraction(unit))
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -78,15 +81,10 @@ class TreeSeries(Combination):
         return TreeSeries.one(self.order)
 
     def weight_component(self, n: int) -> "TreeSeries":
-        if n == 0:
-            return TreeSeries(self.order, unit=self.unit)
         return TreeSeries(
             self.order,
             terms={t: c for t, c in self.terms.items() if t.nvertices == n},
         )
-
-    def is_zero(self) -> bool:
-        return self.unit == 0 and not self.terms
 
     def star(self, other: "TreeSeries") -> "TreeSeries":
         return graft(self, other)
@@ -94,35 +92,19 @@ class TreeSeries(Combination):
     def circle(self, other: "TreeSeries") -> "TreeSeries":
         return circle(self, other)
 
-    # -- arithmetic: the unit part on top of the tree combination -----------
-
-    def __add__(self, other):
-        out = super().__add__(other)
-        out.unit = self.unit + other.unit
-        return out
-
-    def __mul__(self, scalar):
-        out = super().__mul__(scalar)
-        out.unit = self.unit * Fraction(scalar)
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return super().__eq__(other) and self.unit == other.unit
-
-    def __hash__(self):
-        return hash((self.order, self.unit, frozenset(self.terms.items())))
-
     def __repr__(self):
         body = "; ".join(format_series(self).splitlines()) or "0"
         return f"<TreeSeries order={self.order}: {body}>"
+
+    @property
+    def unit(self) -> Fraction:
+        return self.coefficient(UNIT)
 
     def coefficient(self, tree: LabeledTree) -> Fraction:
         return self.terms.get(tree, Fraction(0))
 
     def min_tree_weight(self):
-        return min((t.nvertices for t in self.terms), default=None)
+        return min((t.nvertices for t in self.terms if t is not UNIT), default=None)
 
 
 # -- grafting ----------------------------------------------------------------
@@ -167,19 +149,22 @@ def _graft_trees(s: LabeledTree, t: LabeledTree, memo: dict):
 def graft(s: TreeSeries, t: TreeSeries) -> TreeSeries:
     """Pre-Lie grafting product, bilinear over trees.
 
-    The unit grafts as a left unit only:  1 * x = x  while  sigma * 1 = 0
-    for every tree sigma.  The grafts of each (subtree, tau) pair are
-    computed once per call and shared between the trees of ``s`` that hold
-    that subtree; the memo is dropped on return.  The trees of ``t`` are
-    visited by vertex count, so each sigma stops at the truncation instead
-    of testing every pair.
+    The unit :data:`UNIT` grafts as a left unit only:  1 * x = x  while
+    sigma * 1 = 0  for every tree sigma.  The grafts of each (subtree, tau)
+    pair are computed once per call and shared between the trees of ``s``
+    that hold that subtree; the memo is dropped on return.  The trees of
+    ``t`` are visited by vertex count, so each sigma stops at the truncation
+    instead of testing every pair.
     """
     s._check(t)
     order = s.order
     result = t * s.unit  # 1 * x = x on the unit part of s
-    taus = sorted(t.terms.items(), key=lambda tc: tc[0].nvertices)
+    trees = [tc for tc in t.terms.items() if tc[0] is not UNIT]  # sigma * 1 = 0
+    taus = sorted(trees, key=lambda tc: tc[0].nvertices)
     memo: dict = {}
     for sigma, cs in s.terms.items():
+        if sigma is UNIT:
+            continue
         room = order - sigma.nvertices
         for tau, ct in taus:
             if tau.nvertices > room:
@@ -220,7 +205,8 @@ def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
     a._check(g)
     _require_grouplike(g)
     order = a.order
-    b_terms = sorted(((t, c) for t, c in g.terms.items()), key=lambda tc: tc[0].key)
+    # g = 1 + b, and the unit's key sorts first
+    b_terms = sorted(g.terms.items(), key=lambda tc: tc[0].key)[1:]
 
     max_budget = order - (a.min_tree_weight() or order)
     # multisets of b-terms with total weight <= max_budget, folded iteratively
@@ -272,6 +258,8 @@ def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
 
     result = g * a.unit  # left linearity: the unit part of a contributes a.unit * g
     for sigma, cs in a.terms.items():
+        if sigma is UNIT:
+            continue
         for tree, coeff, _used in decorate(sigma, order - sigma.nvertices):
             add_into(result.terms, tree, cs * coeff)
     return result
@@ -409,11 +397,11 @@ def eval_tree(tree: LabeledTree, values):
 def parse_series(text: str, order: int) -> TreeSeries:
     """Parse the one-term-per-line format ``<rational> <tree>``.
 
-    The unit term is written ``1 ()``.  Children may appear in any order;
-    trees are canonicalized.  Blank lines and ``#`` comments are skipped.
+    The unit term is written ``1 ()``: ``()`` is the vertex-free tree
+    :data:`UNIT`.  Children may appear in any order; trees are
+    canonicalized.  Blank lines and ``#`` comments are skipped.
     """
     _require_order(order)
-    unit = Fraction(0)
     terms: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -436,23 +424,15 @@ def parse_series(text: str, order: int) -> TreeSeries:
             raise ParseError(str(exc), f"line {lineno}") from None
         except RecursionError:
             raise ParseError("tree nested too deeply", f"line {lineno}") from None
-        if tree is None:
-            unit += coeff
-        else:
-            if tree.nvertices > order:
-                raise ParseError(
-                    f"tree has {tree.nvertices} vertices, above truncation {order}",
-                    f"line {lineno}",
-                )
-            add_into(terms, tree, coeff)
-    return TreeSeries(order, unit, terms)
+        if tree.nvertices > order:
+            raise ParseError(
+                f"tree has {tree.nvertices} vertices, above truncation {order}",
+                f"line {lineno}",
+            )
+        add_into(terms, tree, coeff)
+    return TreeSeries(order, terms=terms)
 
 
 def format_series(s: TreeSeries) -> str:
-    """Inverse of :func:`parse_series`; terms sorted canonically."""
-    lines = []
-    if s.unit:
-        lines.append(f"{s.unit} ()")
-    for tree in sorted(s.terms, key=lambda t: t.key):
-        lines.append(f"{s.terms[tree]} {tree.to_text()}")
-    return "\n".join(lines)
+    """Inverse of :func:`parse_series`; terms sorted canonically, the unit first."""
+    return "\n".join(f"{s.terms[t]} {t.to_text()}" for t in sorted(s.terms, key=lambda t: t.key))

@@ -65,7 +65,7 @@ class LabeledTree:
         tree, end = _parse_tree(text, 0)
         if text[end:].strip():
             raise ParseError("trailing input after tree", f"column {end + 1}")
-        if tree is None:
+        if tree is UNIT:
             raise ParseError("the empty tree '()' is not a LabeledTree", "column 1")
         return tree
 
@@ -86,10 +86,15 @@ def _canonical_tree(label, kids, kid_keys, nvertices) -> LabeledTree:
     return _fill(object.__new__(LabeledTree), label, kids, kid_keys, nvertices)
 
 
-def _parse_tree(text: str, pos: int):
-    """Parse one parenthesized tree starting at pos; returns (tree|None, end).
+# the vertex-free tree, the unit adjoined to the free pre-Lie algebra
+# (1 * x = x, x * 1 = 0); its key sorts first and its text form is ``()``
+UNIT = _canonical_tree("", (), (), 0)
 
-    ``()`` parses to None (the unit marker).
+
+def _parse_tree(text: str, pos: int):
+    """Parse one parenthesized tree starting at pos; returns (tree, end).
+
+    ``()`` parses to :data:`UNIT`, which is refused as a subtree.
     """
     n = len(text)
     while pos < n and text[pos].isspace():
@@ -100,7 +105,7 @@ def _parse_tree(text: str, pos: int):
     while pos < n and text[pos].isspace():
         pos += 1
     if pos < n and text[pos] == ")":
-        return None, pos + 1
+        return UNIT, pos + 1
     start = pos
     while pos < n and not text[pos].isspace() and text[pos] not in "()":
         pos += 1
@@ -116,7 +121,7 @@ def _parse_tree(text: str, pos: int):
         if text[pos] == ")":
             return LabeledTree(label, children), pos + 1
         child, pos = _parse_tree(text, pos)
-        if child is None:
+        if child is UNIT:
             raise ParseError("the unit '()' cannot appear as a subtree", f"column {pos}")
         children.append(child)
 

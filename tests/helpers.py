@@ -40,7 +40,7 @@ from prelie.combination import add_into, put
 from prelie.errors import BoundsError, DomainError, ShapeError
 from prelie.linalg import GradedMap, GradedSpace, contraction_of, solve_sparse
 from prelie.series import LabeledTree, TreeSeries, bracket, eval_tree
-from prelie.trees import Levelization, aut_order, enumerate_trees, forest_structure
+from prelie.trees import UNIT, Levelization, aut_order, enumerate_trees, forest_structure
 from prelie import multicomplex as mcx
 
 
@@ -706,7 +706,7 @@ def graft_by_pairs(s: TreeSeries, t: TreeSeries) -> TreeSeries:
     result = t * s.unit
     for sigma, cs in s.terms.items():
         for tau, ct in t.terms.items():
-            if sigma.nvertices + tau.nvertices > s.order:
+            if UNIT in (sigma, tau) or sigma.nvertices + tau.nvertices > s.order:
                 continue
             for tree in _graft_pair(sigma, tau):
                 add_into(result.terms, tree, cs * ct)

@@ -54,6 +54,7 @@ from prelie.series import (
     grouplike_inverse,
     parse_series,
 )
+from prelie.trees import UNIT
 
 BUDGET = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 COEFFS = st.sampled_from(COEFF_CHOICES)
@@ -254,7 +255,10 @@ def test_tower_magnus_equals_assoc_log(seed, truncation, nentries):
 
 
 @BUDGET
-@given(st.tuples(st.integers(1, 6), st.sampled_from([0, 1, Fraction(-3, 2)]))
-       .flatmap(lambda args: tree_series(*args)))
-def test_series_text_round_trip_law(s):
+@given(st.sampled_from([0, 1, Fraction(-3, 2)]), st.integers(1, 6).flatmap(tree_series))
+def test_series_text_round_trip_law(u, trees):
+    # the unit part is the coefficient of the vertex-free tree
+    s = TreeSeries(trees.order, u, trees.terms)
+    assert s == TreeSeries(trees.order, 0, {**trees.terms, UNIT: u})
+    assert s.unit == u and s.weight_component(0) == TreeSeries.one(s.order) * u
     assert parse_series(format_series(s), s.order) == s

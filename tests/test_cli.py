@@ -18,7 +18,7 @@ from prelie.ainf import (
     element_to_dict,
     gauge_act,
 )
-from prelie.linalg import GradedSpace
+from prelie.linalg import MAX_DIMENSION, GradedSpace
 from helpers import (
     acyclic_dga,
     acyclic_tower,
@@ -981,3 +981,31 @@ def test_towers_need_no_truncation_bound(tmp_path, capsys):
         assert code == 0
         assert _without_truncation(json.loads(huge)) == _without_truncation(json.loads(small))
         assert huge.count('"truncation": 1000000000') == small.count('"truncation": 4')
+
+
+def _dimension_inputs(dims):
+    """(argv, record): each verb that lists a whole basis, on zero operators."""
+    space = {"dims": dims}
+    return {
+        "multicomplex-trivialize": (["multicomplex", "trivialize"],
+                                    {"space": space, "truncation": 2, "operators": []}),
+        "multicomplex-conjugate": (["multicomplex", "conjugate"],
+                                   {"space": space, "truncation": 2,
+                                    "alpha": {"operators": []}, "gauge": {"operators": []}}),
+        "ainf-trivialize": (["ainf", "trivialize"],
+                            {"space": space, "truncation": 2, "degree": -1, "operations": []}),
+        "ainf-gauge-act": (["ainf", "gauge-act"],
+                           {"space": space, "truncation": 2,
+                            "structure": {"operations": []}, "gauge": {"operations": []}}),
+    }
+
+
+@pytest.mark.parametrize("case", list(_dimension_inputs({})))
+def test_total_dimension_above_bound_exit_2(tmp_path, capsys, case):
+    infile = tmp_path / "in.json"
+    verb, record = _dimension_inputs({"0": MAX_DIMENSION, "1": 1})[case]
+    infile.write_text(json.dumps(record))
+    code, out, err = run(capsys, *verb, str(infile))
+    assert (code, out, err) == (2, "", f"error: total dimension must be <= {MAX_DIMENSION}, "
+                                       f"got {MAX_DIMENSION + 1}\n")
+    assert len(GradedSpace({0: MAX_DIMENSION - 1, 1: 1}).basis()) == MAX_DIMENSION

@@ -249,3 +249,18 @@ def test_products_are_bilinear_and_leave_operands_unmodified(k_abc):
     assert stores_no_zero(left)
     assert product(a * 2, c) == product(a, c) * 2
     assert [snapshot(x) for x in (a, b, c)] == before
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_element_types_take_all_arithmetic_from_combination():
+    overridable = {"__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__eq__",
+                   "__hash__", "is_zero"}
+    library = [c for c in _subclasses(Combination) if c.__module__.startswith("prelie.")]
+    assert sorted(c.__name__ for c in library) == sorted(kind.name for kind in KINDS)
+    for cls in library:
+        assert not overridable & set(vars(cls)), cls.__name__
