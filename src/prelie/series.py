@@ -382,8 +382,13 @@ def eval_tree(tree: LabeledTree, values):
     ``values`` maps generator symbols to target elements; a root r with child
     subtrees s_1..s_k evaluates to {values[r]; eval(s_1), .., eval(s_k)},
     the symmetric brace built from ``.star``.  An unlabeled tree t is
-    evaluated at v by ``eval_tree(t, {"*": v})``.
+    evaluated at v by ``eval_tree(t, {"*": v})``.  The vertex-free tree
+    :data:`UNIT` evaluates to the unit of the target of the bound values.
     """
+    if tree is UNIT:
+        for value in values.values():
+            return value.unit_like()
+        raise DomainError("the unit () has no target: no generator is bound")
     try:
         root = values[tree.label]
     except KeyError:

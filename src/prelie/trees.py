@@ -51,7 +51,9 @@ class LabeledTree:
         return f"LabeledTree.from_text({self.to_text()!r})"
 
     def relabel(self, label: str) -> "LabeledTree":
-        """Every vertex relabeled by the same symbol."""
+        """Every vertex relabeled by the same symbol; :data:`UNIT` has none."""
+        if not self.nvertices:
+            return self
         return LabeledTree(label, (c.relabel(label) for c in self.children))
 
     def to_text(self) -> str:
@@ -62,11 +64,10 @@ class LabeledTree:
 
     @staticmethod
     def from_text(text: str) -> "LabeledTree":
+        """Inverse of :meth:`to_text`; ``()`` is :data:`UNIT`."""
         tree, end = _parse_tree(text, 0)
         if text[end:].strip():
             raise ParseError("trailing input after tree", f"column {end + 1}")
-        if tree is UNIT:
-            raise ParseError("the empty tree '()' is not a LabeledTree", "column 1")
         return tree
 
 
@@ -365,10 +366,13 @@ def cm_weight(t: LabeledTree) -> int:
     Computed in closed form as (number of linear extensions) / |Aut t|,
     where the extension count is nvertices! divided by the product of all
     subtree sizes; Aut t acts freely on the extensions, since every vertex
-    sits on its own level.
+    sits on its own level.  The vertex-free tree :data:`UNIT` has weight 1,
+    its coefficient in the exponential.
     """
     if not isinstance(t, LabeledTree):
         raise TypeError("cm_weight expects a LabeledTree")
+    if not t.nvertices:
+        return 1
     extensions, sizes = math.factorial(t.nvertices), _subtree_size_product(t)
     le_count, rem = divmod(extensions, sizes)
     if rem:

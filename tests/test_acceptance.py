@@ -58,6 +58,7 @@ from prelie.series import (
     magnus,
 )
 from prelie.trees import (
+    UNIT,
     aut_order,
     enumerate_forests,
     enumerate_trees,
@@ -90,8 +91,11 @@ def test_criterion_02_tree_counts_against_oracle():
 
 def test_criterion_03_exponential_coefficients():
     e = exp(TreeSeries.generator("x", 6))
+    assert e.coefficient(UNIT) == 1
     shapes_seen = set()
     for tree, coeff in e.terms.items():
+        if tree is UNIT:
+            continue
         shape = tree.relabel("*")
         n_t = len(levelizations(shape))  # independent enumeration
         assert coeff == Fraction(n_t, math.factorial(shape.nvertices))

@@ -983,29 +983,35 @@ def test_towers_need_no_truncation_bound(tmp_path, capsys):
         assert huge.count('"truncation": 1000000000') == small.count('"truncation": 4')
 
 
-def _dimension_inputs(dims):
-    """(argv, record): each verb that lists a whole basis, on zero operators."""
-    space = {"dims": dims}
-    return {
-        "multicomplex-trivialize": (["multicomplex", "trivialize"],
-                                    {"space": space, "truncation": 2, "operators": []}),
-        "multicomplex-conjugate": (["multicomplex", "conjugate"],
-                                   {"space": space, "truncation": 2,
-                                    "alpha": {"operators": []}, "gauge": {"operators": []}}),
-        "ainf-trivialize": (["ainf", "trivialize"],
-                            {"space": space, "truncation": 2, "degree": -1, "operations": []}),
-        "ainf-gauge-act": (["ainf", "gauge-act"],
-                           {"space": space, "truncation": 2,
-                            "structure": {"operations": []}, "gauge": {"operations": []}}),
-    }
+# each verb that lists a whole basis, on zero operators over a space one
+# basis vector above the bound
+_HUGE_SPACE = {"dims": {"0": MAX_DIMENSION, "1": 1}}
+DIMENSION_CASES = [
+    pytest.param(["multicomplex", "trivialize"],
+                 {"space": _HUGE_SPACE, "truncation": 2, "operators": []},
+                 id="multicomplex-trivialize"),
+    pytest.param(["multicomplex", "conjugate"],
+                 {"space": _HUGE_SPACE, "truncation": 2,
+                  "alpha": {"operators": []}, "gauge": {"operators": []}},
+                 id="multicomplex-conjugate"),
+    pytest.param(["ainf", "trivialize"],
+                 {"space": _HUGE_SPACE, "truncation": 2, "degree": -1, "operations": []},
+                 id="ainf-trivialize"),
+    pytest.param(["ainf", "gauge-act"],
+                 {"space": _HUGE_SPACE, "truncation": 2,
+                  "structure": {"operations": []}, "gauge": {"operations": []}},
+                 id="ainf-gauge-act"),
+]
 
 
-@pytest.mark.parametrize("case", list(_dimension_inputs({})))
-def test_total_dimension_above_bound_exit_2(tmp_path, capsys, case):
+@pytest.mark.parametrize("verb, record", DIMENSION_CASES)
+def test_total_dimension_above_bound_exit_2(tmp_path, capsys, verb, record):
     infile = tmp_path / "in.json"
-    verb, record = _dimension_inputs({"0": MAX_DIMENSION, "1": 1})[case]
     infile.write_text(json.dumps(record))
     code, out, err = run(capsys, *verb, str(infile))
     assert (code, out, err) == (2, "", f"error: total dimension must be <= {MAX_DIMENSION}, "
                                        f"got {MAX_DIMENSION + 1}\n")
+
+
+def test_total_dimension_at_bound_lists_basis():
     assert len(GradedSpace({0: MAX_DIMENSION - 1, 1: 1}).basis()) == MAX_DIMENSION

@@ -25,7 +25,7 @@ from prelie.series import (
     magnus,
     parse_series,
 )
-from prelie.trees import aut_order, cm_weight, enumerate_trees
+from prelie.trees import UNIT, aut_order, cm_weight, enumerate_trees
 
 N = 6
 
@@ -173,8 +173,11 @@ def test_exp_weight_two_component():
 
 def test_exp_coefficients_are_cm_weights():
     e = exp(gen("x"))
+    assert e.coefficient(UNIT) == 1
     seen_shapes = set()
     for tree, coeff in e.terms.items():
+        if tree is UNIT:
+            continue
         shape = tree.relabel("*")
         seen_shapes.add(shape)
         assert coeff == Fraction(cm_weight(shape), math.factorial(shape.nvertices))
@@ -318,6 +321,10 @@ def test_eval_tree():
     assert eval_tree(corolla, values) == TreeSeries.from_tree(corolla, N)
     with pytest.raises(KeyError):
         eval_tree(t("(q)"), values)
+    assert eval_tree(UNIT, values) == one()
+    assert sum((eval_tree(s, values) * c for s, c in exp(a).terms.items()), TreeSeries.zero(N)) == exp(a)
+    with pytest.raises(DomainError):
+        eval_tree(UNIT, {})
 
 
 def test_tree_monomial_matches_eval():

@@ -52,6 +52,14 @@ def test_single_vertex():
     assert cm_weight(LEAF) == 1
 
 
+def test_vertex_free_tree():
+    assert trees.UNIT.relabel("*") is trees.UNIT
+    assert cm_weight(trees.UNIT) == 1
+    assert aut_order(trees.UNIT) == 1
+    assert LabeledTree.from_text(trees.UNIT.to_text()) is trees.UNIT
+    assert trees.UNIT < LEAF
+
+
 def test_enumeration_matches_parent_function_oracle():
     for n in range(1, 8):
         ours = {tree_to_ahu(t) for t in enumerate_trees(n)}
