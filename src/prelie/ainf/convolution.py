@@ -226,10 +226,12 @@ def circle(f: ConvElement, g: ConvElement) -> ConvElement:
     Associative and unital on group-like elements; defined by the same
     formula for arbitrary f.  Each entry of f is expanded slot by slot from
     one table of g's entries by output, keeping the input tuples that leave
-    one input for each later slot within the truncation.  The right factor
-    must have degree 0 unless f is pure postcomposition (arity 1 only), so
-    no Koszul sign arises: a degree-0 g passes every input freely, and an
-    odd g fills the one slot of an arity-1 f, with no input before it.
+    one input for each later slot within the truncation; the table lists
+    the entries of one output fewest inputs first, so the scan of a slot
+    stops at the first entry that does not fit.  The right factor must have
+    degree 0 unless f is pure postcomposition (arity 1 only), so no Koszul
+    sign arises: a degree-0 g passes every input freely, and an odd g fills
+    the one slot of an arity-1 f, with no input before it.
     """
     if not isinstance(g, ConvElement):
         raise TypeError(f"expected ConvElement, got {type(g).__name__}")
@@ -246,8 +248,15 @@ def circle(f: ConvElement, g: ConvElement) -> ConvElement:
             partial = [((), fc)]
             for slot, b in enumerate(fins):
                 room = f.truncation - (k - 1 - slot)
-                partial = [(ins + gins, c * gc) for ins, c in partial
-                           for gins, gc in table.get(b, ()) if len(ins) + len(gins) <= room]
+                entries = table.get(b, ())
+                grown = []
+                for ins, c in partial:
+                    fit = room - len(ins)
+                    for gins, gc in entries:
+                        if len(gins) > fit:
+                            break
+                        grown.append((ins + gins, c * gc))
+                partial = grown
             for ins, c in partial:
                 add_into(acc.setdefault(len(ins), {}), (ins, fout), c)
     out = ConvElement(g.source, f.target, f.truncation, f.degree + g.degree)

@@ -29,7 +29,7 @@ from ..multicomplex import (
 from .convolution import ConvElement, MultiOp
 
 # bound on the truncation arity of an element read from JSON: transfer takes
-# seconds at 8 and grows about fivefold per arity (trivialize: up to about 2 s at 8)
+# about 1.5 s at 8, ten times its cost at 7 (trivialize: about 0.3 s at 8)
 MAX_TRUNCATION = 8
 
 

@@ -11,9 +11,13 @@ where h^* precomposes the arity-n part with the symmetrized homotopy h_n:
 h on one slot, the projector pi = i p on a set P of the other slots and the
 identity on the rest, weighted by |P|! (n-1-|P|)! / n!.  ``h_star``
 evaluates this closed form entry by entry and never builds h_n, whose size
-grows like dim^n.  The gauge actions of Phi and Psi produce the twisted
-structures alpha-hat and alpha-check, and the transferred structure,
-extended inclusion, and extended projection are
+grows like dim^n: for each input tuple ``mid`` of y it reads the column
+of h_n at ``mid``, the inputs that h_n sends onto ``mid``, expanded slot
+by slot from preimage tables of h and pi.  The Psi series of ``transfer``
+and of each twist keeps one table of columns for as long as it runs, so
+its ``h_star`` calls build each column once.  The gauge actions of Phi and
+Psi produce the twisted structures alpha-hat and alpha-check, and the
+transferred structure, extended inclusion, and extended projection are
 
     beta = delta_H + p (abar (o) Phi) i,   i_inf = Phi (o) i,   p_inf = p (o) Psi.
 
@@ -27,7 +31,6 @@ the isotopy, for the one of :func:`linalg.contraction_of`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,15 +85,33 @@ class TensorOperator(Combination):
         return out
 
 
-def _preimages(gmap: GradedMap) -> dict:
-    """Basis vector b -> [(a, c)] for the entries gmap(a) = c b + ..."""
+def _picks(gmap: GradedMap, pi_slots: int) -> dict:
+    """Basis vector b -> [(a, c, pi_slots)] for the entries gmap(a) = c b + ...,
+    with c None when it is 1."""
     out: dict = {}
     for (sdeg, sidx, tidx), coeff in gmap.entries.items():
-        out.setdefault((sdeg + gmap.degree, tidx), []).append(((sdeg, sidx), coeff))
+        out.setdefault((sdeg + gmap.degree, tidx), []).append(
+            ((sdeg, sidx), None if coeff == 1 else coeff, pi_slots))
     return out
 
 
-def h_star(y: ConvElement, c: Contraction) -> ConvElement:
+class _HnColumns(dict):
+    """The columns of the symmetrized homotopies h_n of one contraction:
+    ``mid`` -> {inputs: coefficient of ``mid`` in h_n(inputs)}, each built
+    by :func:`_hn_column` on first use.  One table serves every
+    :func:`h_star` call of one Psi series; it holds no sign of y."""
+
+    def __init__(self, c: Contraction):
+        super().__init__()
+        self.h_pre = _picks(c.h, 0)
+        self.pi_pre = _picks(c.pi, 1)
+
+    def __missing__(self, mid):
+        column = self[mid] = _hn_column(mid, self.h_pre, self.pi_pre)
+        return column
+
+
+def h_star(y: ConvElement, c: Contraction, columns: _HnColumns | None = None) -> ConvElement:
     """Graded pullback along the symmetrized homotopies:
     (h^* y)_n = (-1)^{|y|} y_n o h_n.
 
@@ -98,52 +119,78 @@ def h_star(y: ConvElement, c: Contraction) -> ConvElement:
     id^(k-1) x h x pi^(n-k); in closed form it places h on one slot, the
     projector pi on a set P of the other slots and the identity on the rest,
     with weight |P|! (n-1-|P|)! / n!.  h_n is never built: for each entry
-    (mid, out) of y_n the inputs that h_n sends onto ``mid`` are read off
-    preimage tables of h and pi, one slot at a time.  The sign of a term is
-    (-1)^{|y|} times the Koszul sign of h passing the inputs before its
-    slot; id and pi keep degrees, so that is the parity of the degrees of
-    ``mid`` before the h slot.  The sign (-1)^{|y|} of the degree-1
-    operator passing y is pinned down by the identity suite (gauge-twist
-    formulas and transfer theorems).
+    (mid, out) of y_n, the column of h_n at ``mid`` (the inputs that h_n
+    sends onto ``mid``, see :func:`_hn_column`) is read from ``columns``,
+    the table of ``c``'s columns that one Psi series shares across its
+    calls; a new table when none is given.  A column term carries the
+    Koszul sign of h passing the inputs before its slot; id and pi keep
+    degrees, so that is the parity of the degrees of ``mid`` before the h
+    slot.  The sign (-1)^{|y|} of the degree-1 operator passing y is applied
+    per call, as one table meets y of both parities; it is pinned down by
+    the identity suite (gauge-twist formulas and transfer theorems).
     """
-    sign = -1 if y.degree % 2 else 1
-    h_pre = _preimages(c.h)
-    pi_pre = _preimages(c.pi)
+    if columns is None:
+        columns = _HnColumns(c)
+    odd = y.degree % 2
     out = ConvElement(y.source, y.target, y.truncation, y.degree + 1)
     for n, op in y.components.items():
-        weights = [
-            Fraction(sign * math.factorial(r) * math.factorial(n - 1 - r), math.factorial(n))
-            for r in range(n)
-        ]
-        columns: dict = {}  # mid -> {inputs: coefficient of mid in h_n(inputs)}
         composed = MultiOp(y.source, y.target, n, op.degree + 1)
         for (mid, out_b), c2 in op.entries.items():
-            column = columns.get(mid)
-            if column is None:
-                column = columns[mid] = _hn_column(mid, h_pre, pi_pre, weights)
-            for ins, c1 in column.items():
+            if odd:
+                c2 = -c2
+            for ins, c1 in columns[mid].items():
                 add_into(composed.entries, (ins, out_b), c1 * c2)
         if not composed.is_zero():
             out.components[n] = composed
     return out
 
 
-def _hn_column(mid, h_pre, pi_pre, weights) -> dict:
-    """Inputs -> coefficient of ``mid`` in their image under h_n, each
-    term weighted by ``weights[|P|]`` and by its Koszul sign."""
-    # per slot: (input, coefficient, 1 if the slot holds pi) for id and pi
-    slots = [[(b, 1, 0)] + [(a, cf, 1) for a, cf in pi_pre.get(b, ())] for b in mid]
-    column: dict = {}
+def _hn_column(mid, h_pre, pi_pre) -> dict:
+    """Inputs -> coefficient of ``mid`` in their image under h_n.
+
+    The slots are expanded one at a time into partial terms keyed by
+    (input prefix, number of pi slots): ``before`` holds the prefixes with
+    no h slot yet, ``after`` those with one.  A slot extends both by its
+    identity pick and its pi-preimages, and moves ``before`` into ``after``
+    by its h-preimages, with the Koszul sign of h passing the slots before
+    it.  Terms that reach one key merge there, such as an identity pick and
+    a pi pick of a vector that pi fixes, made in different slots.  Nothing
+    is expanded when no slot has an h-preimage, no slot after the last one
+    that has extends ``before``, and a coefficient of 1 multiplies nothing.
+    The weight |P|! (n-1-|P|)! / n! is applied once per finished key, as the
+    integer |P|! (n-1-|P|)! with one division by n! per input tuple.
+    """
+    last = max((k for k, b in enumerate(mid) if b in h_pre), default=None)
+    if last is None:
+        return {}
+    before: dict = {((), 0): 1}
+    after: dict = {}
     parity = 0
     for k, b in enumerate(mid):
-        h_slot = [(a, cf, 0) for a, cf in h_pre.get(b, ())]
-        for picks in itertools.product(*slots[:k], h_slot, *slots[k + 1:]):
-            coeff = weights[sum(p[2] for p in picks)]
-            for p in picks:
-                coeff *= p[1]
-            add_into(column, tuple(p[0] for p in picks), -coeff if parity else coeff)
+        picks = [(b, None, 0)] + pi_pre.get(b, [])
+        grown = _extend({}, after, picks)
+        if b in h_pre:
+            _extend(grown, before, h_pre[b], -1 if parity else 1)
+        if k < last:
+            before = _extend({}, before, picks)
+        after = grown
         parity ^= b[0] & 1
-    return column
+    n = len(mid)
+    column: dict = {}  # inputs -> n! times their coefficient
+    for (ins, r), coeff in after.items():
+        add_into(column, ins, coeff * math.factorial(r) * math.factorial(n - 1 - r))
+    return {ins: Fraction(coeff, math.factorial(n)) for ins, coeff in column.items()}
+
+
+def _extend(acc: dict, partial: dict, picks: list, sign: int = 1) -> dict:
+    """Add to ``acc`` every term of ``partial`` times ``sign``, extended by
+    one slot of ``picks``; return ``acc``."""
+    for (ins, r), coeff in partial.items():
+        if sign < 0:
+            coeff = -coeff
+        for a, cf, pi_slots in picks:
+            add_into(acc, (ins + (a,), r + pi_slots), coeff if cf is None else coeff * cf)
+    return acc
 
 
 def _require_mc(alpha: ConvElement) -> None:
@@ -180,7 +227,8 @@ def _phi_inv(abar: ConvElement, c: Contraction) -> ConvElement:
 
 
 def _psi(abar: ConvElement, c: Contraction) -> ConvElement:
-    return calculus.psi_series(abar, lambda y: h_star(y, c))
+    columns = _HnColumns(c)
+    return calculus.psi_series(abar, lambda y: h_star(y, c, columns))
 
 
 def phi_kernel(alpha: ConvElement, c: Contraction) -> ConvElement:
@@ -283,9 +331,11 @@ def transfer(alpha: ConvElement, c: Contraction) -> TransferResult:
 
 def _twist(alpha: ConvElement, c: Contraction) -> calculus.Trivialization:
     """:func:`calculus.trivialize` with the homotopy of ``c`` and its
-    symmetrized pullback :func:`h_star`."""
+    symmetrized pullback :func:`h_star`, whose calls share one table of
+    the columns of h_n."""
+    columns = _HnColumns(c)
     return calculus.trivialize(
-        alpha, element_from_map(c.h, alpha.truncation), lambda y: h_star(y, c))
+        alpha, element_from_map(c.h, alpha.truncation), lambda y: h_star(y, c, columns))
 
 
 def is_gauge_trivial(alpha: ConvElement, c: Contraction) -> bool:

@@ -51,7 +51,7 @@ from prelie.ainf import (
     transfer,
     unit_element,
 )
-from prelie.ainf.transfer import h_push, _abar, _psi
+from prelie.ainf.transfer import h_push, _HnColumns, _abar, _psi
 from prelie.errors import DomainError, ValidationError
 from prelie.linalg import GradedMap, GradedSpace
 
@@ -135,26 +135,44 @@ PULLBACK_BUDGET = settings(
 )
 
 
-@st.composite
-def pullback_cases(draw):
-    """A contraction and an element y with components of arities 1-5 and of
-    odd or even degree.  Every input tuple of y has a slot in the image of h,
-    so that h_n reaches it; the target space has every degree y needs."""
-    c = draw(st.sampled_from(PULLBACK_CONTRACTIONS))
-    degree = draw(st.integers(-2, 1))
+def _pullback_elements(draw, c, degrees):
+    """Elements y of the given degrees on one drawn set of input tuples,
+    with components of arities 1-5.  Every input tuple has a slot in the
+    image of h, so that h_n reaches it; the target space has every degree
+    the elements need."""
     basis = c.big.basis()
     h_image = sorted({(sdeg + 1, tidx) for sdeg, _sidx, tidx in c.h.entries})
     lo, hi = min(b[0] for b in basis), max(b[0] for b in basis)
-    target = GradedSpace({k: 1 for k in range(min(lo, 5 * lo) + degree, max(hi, 5 * hi) + degree + 1)})
-    y = ConvElement(c.big, target, 5, degree)
+    target = GradedSpace({k: 1 for k in range(min(lo, 5 * lo) + min(degrees),
+                                               max(hi, 5 * hi) + max(degrees) + 1)})
+    ys = [ConvElement(c.big, target, 5, degree) for degree in degrees]
     for n in draw(st.sets(st.integers(1, 5), min_size=1, max_size=3)):
-        op = MultiOp(c.big, target, n, degree)
+        ops = [MultiOp(c.big, target, n, degree) for degree in degrees]
         for _ in range(draw(st.integers(1, 4))):
             ins = [draw(st.sampled_from(basis)) for _ in range(n)]
             ins[draw(st.integers(0, n - 1))] = draw(st.sampled_from(h_image))
-            op[tuple(ins), (sum(b[0] for b in ins) + degree, 0)] = draw(st.sampled_from(COEFF_CHOICES))
-        y.components[n] = op
-    return c, y
+            for op in ops:
+                op[tuple(ins), (sum(b[0] for b in ins) + op.degree, 0)] = draw(
+                    st.sampled_from(COEFF_CHOICES))
+        for y, op in zip(ys, ops):
+            y.components[n] = op
+    return ys
+
+
+@st.composite
+def pullback_cases(draw):
+    """A contraction and an element y of odd or even degree."""
+    c = draw(st.sampled_from(PULLBACK_CONTRACTIONS))
+    return c, _pullback_elements(draw, c, [draw(st.integers(-2, 1))])[0]
+
+
+@st.composite
+def shared_table_cases(draw):
+    """A contraction and elements y on shared input tuples, at least one of
+    odd and one of even degree, in drawn order."""
+    c = draw(st.sampled_from(PULLBACK_CONTRACTIONS))
+    degrees = draw(st.permutations([-1, 0])) + draw(st.lists(st.integers(-2, 1), max_size=2))
+    return c, _pullback_elements(draw, c, degrees)
 
 
 @PULLBACK_BUDGET
@@ -162,6 +180,18 @@ def pullback_cases(draw):
 def test_h_star_equals_materialized_pullback(case):
     c, y = case
     assert h_star(y, c) == h_star_by_sym_homotopy(y, c)
+
+
+@PULLBACK_BUDGET
+@given(shared_table_cases())
+def test_h_star_shares_one_column_table(case):
+    # the columns hold no sign of y, so one table serves y of both parities
+    c, ys = case
+    columns = _HnColumns(c)
+    for y in ys:
+        assert h_star(y, c, columns) == h_star_by_sym_homotopy(y, c)
+    mids = {mid for y in ys for op in y.components.values() for mid, _out in op.entries}
+    assert set(columns) == mids
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -364,6 +394,35 @@ def test_transfer_builds_each_kernel_once(monkeypatch):
         "i_inf_morphism",
         "p_inf_morphism",
     ]
+
+
+@pytest.mark.parametrize("run", ["transfer", "find_trivializer"])
+def test_psi_series_builds_each_column_once(monkeypatch, run):
+    """One Psi series shares one table of the columns of h_n across its
+    h^* calls: each distinct ``mid`` met is expanded exactly once."""
+    alpha, c = massey_dga(truncation=5)
+    lam = random_gauge_element(alpha.source, 5, random.Random(5), nentries=3)
+    met, built, tables = set(), collections.Counter(), []
+    h_star_fn, column_fn = transfer_module.h_star, transfer_module._hn_column
+
+    def counted_h_star(y, contraction, columns=None):
+        met.update(mid for op in y.components.values() for mid, _out in op.entries)
+        tables.append(columns)
+        return h_star_fn(y, contraction, columns)
+
+    def counted_column(mid, *args):
+        built[mid] += 1
+        return column_fn(mid, *args)
+
+    monkeypatch.setattr(transfer_module, "h_star", counted_h_star)
+    monkeypatch.setattr(transfer_module, "_hn_column", counted_column)
+    if run == "transfer":
+        assert transfer(gauge_act(lam, alpha), c).all_green()
+    else:
+        assert find_trivializer(gauge_act(lam, element_from_map(c.d, 5))).found
+    assert tables[0] is not None and all(table is tables[0] for table in tables)
+    assert met and set(built) == met
+    assert set(built.values()) == {1}
 
 
 def test_transfer_of_bare_differential():
