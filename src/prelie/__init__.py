@@ -15,7 +15,9 @@ Subpackages and modules:
                           and the homotopy transfer machinery
 - ``prelie.cli``          batch front end over the text/JSON formats
 
-Everything computes over ``fractions.Fraction``; no floating point anywhere.
+Everything computes with exact rationals: a whole-number coefficient is
+stored as an ``int`` and any other as a ``fractions.Fraction``
+(:mod:`prelie.combination`); no floating point anywhere.
 """
 
 __version__ = "0.1.0"

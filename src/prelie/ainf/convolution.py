@@ -70,7 +70,7 @@ class MultiOp(Combination):
     def identity(space) -> "MultiOp":
         out = MultiOp(space, space, 1, 0)
         for b in space.basis():
-            out.entries[(b,), b] = Fraction(1)
+            out.entries[(b,), b] = 1
         return out
 
     @staticmethod
@@ -89,11 +89,11 @@ class MultiOp(Combination):
 
 def _by_output(ops) -> dict:
     """Output basis vector -> [(inputs, coeff)] over the entries of ``ops``,
-    in their order."""
+    in their order, with coeff None when it is 1."""
     table: dict = {}
     for op in ops:
         for (ins, out), coeff in op.entries.items():
-            table.setdefault(out, []).append((ins, coeff))
+            table.setdefault(out, []).append((ins, None if coeff == 1 else coeff))
     return table
 
 
@@ -193,7 +193,8 @@ def star(f: ConvElement, g: ConvElement) -> ConvElement:
     ``g`` must be an endomorphism-type element of f's source.  Each input
     slot of each entry of f reads the entries of g with that output from one
     table, fewest inputs first.  Inserting g into slot j costs the Koszul
-    sign (-1)^(|g| * (sum of the degrees of the inputs before j)).
+    sign (-1)^(|g| * (sum of the degrees of the inputs before j)), applied
+    once per slot; an entry of g with coefficient 1 multiplies nothing.
     """
     if not isinstance(g, ConvElement):
         raise TypeError(f"expected ConvElement, got {type(g).__name__}")
@@ -208,12 +209,15 @@ def star(f: ConvElement, g: ConvElement) -> ConvElement:
         for (fins, fout), fc in fk.entries.items():
             parity = 0
             for j, b in enumerate(fins):
-                sign = -1 if odd and parity else 1
-                for gins, gc in table.get(b, ()):
-                    if k + len(gins) - 1 > f.truncation:
-                        break
-                    ins = fins[:j] + gins + fins[j + 1:]
-                    add_into(acc.setdefault(len(ins), {}), (ins, fout), sign * fc * gc)
+                entries = table.get(b)
+                if entries:
+                    sc = -fc if odd and parity else fc
+                    for gins, gc in entries:
+                        if k + len(gins) - 1 > f.truncation:
+                            break
+                        ins = fins[:j] + gins + fins[j + 1:]
+                        c = sc if gc is None else sc * gc
+                        add_into(acc.setdefault(len(ins), {}), (ins, fout), c)
                 parity ^= b[0] & 1
     out = ConvElement(f.source, f.target, f.truncation, f.degree + g.degree)
     out.components = {n: out.component(n)._like(e) for n, e in sorted(acc.items()) if e}
@@ -228,7 +232,8 @@ def circle(f: ConvElement, g: ConvElement) -> ConvElement:
     one table of g's entries by output, keeping the input tuples that leave
     one input for each later slot within the truncation; the table lists
     the entries of one output fewest inputs first, so the scan of a slot
-    stops at the first entry that does not fit.  The right factor must have
+    stops at the first entry that does not fit, and an entry of g with
+    coefficient 1 multiplies nothing.  The right factor must have
     degree 0 unless f is pure postcomposition (arity 1 only), so no Koszul
     sign arises: a degree-0 g passes every input freely, and an odd g fills
     the one slot of an arity-1 f, with no input before it.
@@ -255,7 +260,7 @@ def circle(f: ConvElement, g: ConvElement) -> ConvElement:
                     for gins, gc in entries:
                         if len(gins) > fit:
                             break
-                        grown.append((ins + gins, c * gc))
+                        grown.append((ins + gins, c if gc is None else c * gc))
                 partial = grown
             for ins, c in partial:
                 add_into(acc.setdefault(len(ins), {}), (ins, fout), c)

@@ -28,8 +28,9 @@ from ..multicomplex import (
 )
 from .convolution import ConvElement, MultiOp
 
-# bound on the truncation arity of an element read from JSON: transfer takes
-# about 1.5 s at 8, ten times its cost at 7 (trivialize: about 0.3 s at 8)
+# bound on the truncation arity of an element read from JSON: transfer of a
+# gauged Massey structure takes 0.1-2.7 s at 8, by gauge, about four times its
+# cost at 7 (trivialize: up to 0.8 s at 8)
 MAX_TRUNCATION = 8
 
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 from .. import calculus
 from ..calculus import circle_inverse
 from ..errors import BoundsError, DomainError, InternalCheckError, ShapeError, ValidationError
-from ..combination import Combination, add_into
+from ..combination import Combination, add_into, whole
 from ..linalg import Contraction, GradedMap, contraction_of
 from .convolution import (
     ConvElement,
@@ -127,7 +127,8 @@ def h_star(y: ConvElement, c: Contraction, columns: _HnColumns | None = None) ->
     degrees, so that is the parity of the degrees of ``mid`` before the h
     slot.  The sign (-1)^{|y|} of the degree-1 operator passing y is applied
     per call, as one table meets y of both parities; it is pinned down by
-    the identity suite (gauge-twist formulas and transfer theorems).
+    the identity suite (gauge-twist formulas and transfer theorems).  An
+    entry of y whose signed coefficient is 1 multiplies nothing.
     """
     if columns is None:
         columns = _HnColumns(c)
@@ -138,8 +139,9 @@ def h_star(y: ConvElement, c: Contraction, columns: _HnColumns | None = None) ->
         for (mid, out_b), c2 in op.entries.items():
             if odd:
                 c2 = -c2
+            unit = c2 == 1
             for ins, c1 in columns[mid].items():
-                add_into(composed.entries, (ins, out_b), c1 * c2)
+                add_into(composed.entries, (ins, out_b), c1 if unit else c1 * c2)
         if not composed.is_zero():
             out.components[n] = composed
     return out
@@ -179,7 +181,7 @@ def _hn_column(mid, h_pre, pi_pre) -> dict:
     column: dict = {}  # inputs -> n! times their coefficient
     for (ins, r), coeff in after.items():
         add_into(column, ins, coeff * math.factorial(r) * math.factorial(n - 1 - r))
-    return {ins: Fraction(coeff, math.factorial(n)) for ins, coeff in column.items()}
+    return {ins: whole(Fraction(coeff, math.factorial(n))) for ins, coeff in column.items()}
 
 
 def _extend(acc: dict, partial: dict, picks: list, sign: int = 1) -> dict:

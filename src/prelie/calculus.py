@@ -163,8 +163,8 @@ def circle_inverse(g):
 
     Solved weight by weight from  x (o) g = unit.  The product is linear in
     x, so ``acc`` keeps  x_(<n) (o) g, starting from  unit (o) g = g: the
-    weight-n component of  unit - acc  is x_(n), and only that new component
-    is then composed with g.
+    weight-n component of  unit - acc, read off the weight-n components of
+    the two, is x_(n), and only that new component is then composed with g.
     """
     unit = g.unit_like()
     if not (g.weight_component(0) - unit).is_zero():
@@ -172,7 +172,7 @@ def circle_inverse(g):
     x = unit
     acc = g
     for n in range(1, g.max_weight + 1):
-        x_n = (unit - acc).weight_component(n)
+        x_n = unit.weight_component(n) - acc.weight_component(n)
         if not x_n.is_zero():
             x = x + x_n
             acc = acc + x_n.circle(g)
@@ -191,7 +191,7 @@ def psi_series(abar, pullback):
     psi = abar.unit_like()
     term = psi
     for _ in range(psi.max_weight):
-        term = pullback(term.star(abar)) * -1
+        term = -pullback(term.star(abar))
         if term.is_zero():
             break
         psi = psi + term

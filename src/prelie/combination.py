@@ -2,13 +2,18 @@
 
 Tree series, graded maps, multilinear operations, tensor operators,
 operator towers and convolution elements all store a finite combination as
-one dict of non-zero values keyed by basis elements.  The values are
-``Fraction`` coefficients, or, for the towers and convolution elements,
+one dict of non-zero values keyed by basis elements.  The values are exact
+rational coefficients, or, for the towers and convolution elements,
 combinations themselves (one graded map or multilinear operation per weight).
-The JSON readers and the series text format read numbers by :func:`parse_number`.
-:class:`Combination` gives all of them the vector-space operations, equality
-and the zero test, which none of them overrides, and :func:`add_into` is the
-accumulation step of every product loop.
+A whole-number coefficient is stored as an ``int`` and any other as a
+``Fraction``: :func:`put` and :meth:`Combination.__mul__` store what
+:func:`whole` gives, so the product kernels multiply signs and units at
+``int`` speed.  An ``int`` equals the ``Fraction`` of the same value, hashes
+like it and prints like it.  The JSON readers and the series text format
+read numbers by :func:`parse_number`.  :class:`Combination` gives all of
+them the vector-space operations, equality and the zero test, which none of
+them overrides, and :func:`add_into` is the accumulation step of every
+product loop.
 """
 
 from __future__ import annotations
@@ -27,10 +32,18 @@ def parse_number(value, kind, where: str):
     return kind(value)
 
 
+def whole(value):
+    """``value``, or its numerator when it is a ``Fraction`` with denominator 1."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 def put(acc: dict, key, value) -> None:
-    """Store ``value`` under ``key``, or drop ``key`` when ``value`` is zero."""
+    """Store ``value`` under ``key`` as :func:`whole` gives it, or drop ``key``
+    when ``value`` is zero."""
     if value:
-        acc[key] = value
+        acc[key] = whole(value)
     else:
         acc.pop(key, None)
 
@@ -108,14 +121,19 @@ class Combination:
         return self._like(coeffs)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        coeffs = dict(self._coeffs)  # shares values with self: never update them in place
+        for key, value in other._coeffs.items():
+            old = coeffs.get(key)
+            put(coeffs, key, -value if old is None else old - value)
+        return self._like(coeffs)
 
     def __neg__(self):
-        return self * -1
+        return self._like({k: -v for k, v in self._coeffs.items()})
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        coeffs = {k: v * scalar for k, v in self._coeffs.items()} if scalar else {}
+        scalar = whole(Fraction(scalar))
+        coeffs = {k: whole(v * scalar) for k, v in self._coeffs.items()} if scalar else {}
         return self._like(coeffs)
 
     __rmul__ = __mul__

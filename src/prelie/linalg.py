@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .combination import Combination, add_into, put
+from .combination import Combination, add_into, put, whole
 from .errors import BoundsError, ShapeError, ValidationError, shown
 
 # bound on the total dimension of a space whose basis is listed: trivializing
@@ -104,8 +104,7 @@ class GradedMap(Combination):
     @staticmethod
     def identity(space) -> "GradedMap":
         out = GradedMap(space, space, 0)
-        for deg, idx in space.basis():
-            out[deg, idx, idx] = 1
+        out.entries = {(deg, idx, idx): 1 for deg, idx in space.basis()}
         return out
 
     def apply(self, basis_label):
@@ -197,7 +196,7 @@ def _reduce(v: dict, rows, acc: dict) -> None:
     Vectors and tags are dicts basis vector -> coefficient."""
     for pivot, row, tag in rows:
         if pivot in v:
-            lam = v[pivot] / row[pivot]
+            lam = whole(Fraction(v[pivot], row[pivot]))
             for b, c in row.items():
                 put(v, b, v.get(b, 0) - lam * c)
             for b, c in tag.items():
@@ -224,7 +223,7 @@ def contraction_of(space: GradedSpace, d: GradedMap) -> Contraction:
     cycles: dict = {}  # degree k -> echelon rows of H_k, tagged by minus H's basis
     kernel = []
     for e in space.basis():
-        v, pre = dict(images.get(e, {})), {e: Fraction(1)}
+        v, pre = dict(images.get(e, {})), {e: 1}
         rows = bounds.setdefault(e[0] + d.degree, [])
         _reduce(v, rows, pre)
         if v:
@@ -244,7 +243,7 @@ def contraction_of(space: GradedSpace, d: GradedMap) -> Contraction:
             for (_, idx), c in z.items():
                 incl[k, j, idx] = c
     for e in space.basis():
-        x, hx, px = {e: Fraction(1)}, {}, {}
+        x, hx, px = {e: 1}, {}, {}
         _reduce(dict(images.get(e, {})), bounds.get(e[0] + d.degree, ()), x)  # x in ker d
         _reduce(x, bounds.get(e[0], ()), hx)  # minus the preimage of x's part in B
         _reduce(x, cycles.get(e[0], ()), px)  # the rest of x, in H's basis

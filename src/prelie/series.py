@@ -21,7 +21,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from . import calculus
-from .combination import Combination, add_into, parse_number
+from .combination import Combination, add_into, parse_number, whole
 from .errors import DomainError, ParseError, TruncationMismatch, shown
 from .trees import UNIT, LabeledTree, _canonical_tree, _parse_tree
 
@@ -46,7 +46,8 @@ class TreeSeries(Combination):
         clean = {}
         if terms:
             for tree, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if type(coeff) is not int:
+                    coeff = whole(Fraction(coeff))
                 if coeff and tree.nvertices <= order:
                     clean[tree] = coeff
         if unit:
@@ -65,11 +66,11 @@ class TreeSeries(Combination):
 
     @staticmethod
     def generator(symbol: str, order: int) -> "TreeSeries":
-        return TreeSeries(order, terms={LabeledTree(symbol): Fraction(1)})
+        return TreeSeries(order, terms={LabeledTree(symbol): 1})
 
     @staticmethod
     def from_tree(tree: LabeledTree, order: int, coeff=1) -> "TreeSeries":
-        return TreeSeries(order, terms={tree: Fraction(coeff)})
+        return TreeSeries(order, terms={tree: coeff})
 
     # -- protocol for the generic calculus ---------------------------------
 
@@ -81,10 +82,7 @@ class TreeSeries(Combination):
         return TreeSeries.one(self.order)
 
     def weight_component(self, n: int) -> "TreeSeries":
-        return TreeSeries(
-            self.order,
-            terms={t: c for t, c in self.terms.items() if t.nvertices == n},
-        )
+        return self._like({t: c for t, c in self.terms.items() if t.nvertices == n})
 
     def star(self, other: "TreeSeries") -> "TreeSeries":
         return graft(self, other)
@@ -97,11 +95,12 @@ class TreeSeries(Combination):
         return f"<TreeSeries order={self.order}: {body}>"
 
     @property
-    def unit(self) -> Fraction:
+    def unit(self):
         return self.coefficient(UNIT)
 
-    def coefficient(self, tree: LabeledTree) -> Fraction:
-        return self.terms.get(tree, Fraction(0))
+    def coefficient(self, tree: LabeledTree):
+        """The coefficient of ``tree``: an ``int`` when whole, else a ``Fraction``."""
+        return self.terms.get(tree, 0)
 
     def min_tree_weight(self):
         return min((t.nvertices for t in self.terms if t is not UNIT), default=None)
@@ -211,7 +210,7 @@ def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
     max_budget = order - (a.min_tree_weight() or order)
     # multisets of b-terms with total weight <= max_budget, folded iteratively
     # (recursing per term would overflow on dense series)
-    all_msets = [((), Fraction(1), 0)]
+    all_msets = [((), 1, 0)]
     for tree, coeff in b_terms:
         w = tree.nvertices
         if w > max_budget:
@@ -222,7 +221,7 @@ def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
             while used + copies * w <= max_budget:
                 extended.append((ms + (tree,) * copies, c * factor, used + copies * w))
                 copies += 1
-                factor = factor * coeff / copies
+                factor = whole(Fraction(factor * coeff, copies))
         all_msets.extend(extended)
     msets_by_weight: list = [[] for _ in range(max_budget + 1)]
     for ms, c, used in all_msets:
@@ -239,7 +238,7 @@ def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
 
         def children_choices(idx, budget_left):
             if idx == len(tree.children):
-                return [((), Fraction(1), 0)]
+                return [((), 1, 0)]
             out = []
             for ct, cc, cu in decorate(tree.children[idx], budget_left):
                 for rest, rc, ru in children_choices(idx + 1, budget_left - cu):
@@ -362,7 +361,7 @@ def bch(x: TreeSeries, y: TreeSeries) -> TreeSeries:
                 continue
             c = coeffs.get(prefix + b)
             if c:
-                out._iadd(s * (c / n))
+                out._iadd(s * Fraction(c, n))
             if fill + lightest <= order:
                 out._iadd(bracket(s, horner(prefix + b, fill)))
         out.terms = {t: c for t, c in out.terms.items() if t.nvertices <= order - used}
