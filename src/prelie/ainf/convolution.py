@@ -17,10 +17,8 @@ are built from the two products.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .. import calculus
-from ..combination import Combination, add_into, put
+from ..combination import Combination, add_into, exact, put
 from ..errors import BoundsError, DomainError, ShapeError
 from ..linalg import GradedMap, GradedSpace
 
@@ -52,7 +50,7 @@ class MultiOp(Combination):
     def __setitem__(self, key, coeff):
         ins, out = key
         ins = tuple(ins)
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         if len(ins) != self.arity:
             raise ShapeError(f"expected {self.arity} inputs, got {len(ins)}")
         for b in ins:

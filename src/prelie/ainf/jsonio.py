@@ -12,7 +12,7 @@ the entry-list format of the multicomplex module.
 
 from __future__ import annotations
 
-from ..combination import add_into
+from ..combination import add_into, coefficient_text
 from ..errors import BoundsError, ValidationError, shown
 from ..linalg import Contraction, GradedSpace
 from ..multicomplex import (
@@ -39,7 +39,7 @@ def multiop_to_dict(op: MultiOp) -> dict:
         "arity": op.arity,
         "degree": op.degree,
         "entries": [
-            [[list(b) for b in ins], list(out), str(coeff)]
+            [[list(b) for b in ins], list(out), coefficient_text(coeff)]
             for (ins, out), coeff in sorted(op.entries.items())
         ],
     }

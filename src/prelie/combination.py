@@ -18,18 +18,44 @@ product loop.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import ShapeError, ValidationError, shown
+from .errors import BoundsError, ShapeError, ValidationError, shown
 
 
 def parse_number(value, kind, where: str):
-    """``kind(value)`` for ``kind`` int or Fraction, refusing the digit-group
-    underscores ("1_0") that Python's number parsers accept; the refusal is a
-    ValidationError naming ``where``."""
-    if isinstance(value, str) and "_" in value:
-        raise ValidationError(f"{where} must not group digits with '_', got {shown(value)}")
+    """``kind(value)`` for ``kind`` int or Fraction.  It refuses the digit-group
+    underscores ("1_0") that Python's number parsers accept by a ValidationError
+    naming ``where``, and a Fraction string in exponent notation ("1e5000"),
+    which ``Fraction`` would expand to that many digits, by a ValueError."""
+    if isinstance(value, str):
+        if "_" in value:
+            raise ValidationError(f"{where} must not group digits with '_', got {shown(value)}")
+        if kind is Fraction and ("e" in value or "E" in value):
+            raise ValueError(f"{where} must not be in exponent notation, got {shown(value)}")
     return kind(value)
+
+
+def exact(value):
+    """``Fraction(value)`` as :func:`whole` gives it, refusing a float, whose
+    binary expansion ``Fraction`` would store; the coefficient setters and
+    constructors read their values through it."""
+    if isinstance(value, float):
+        raise ValidationError(f"a coefficient must be exact, not the float {shown(value)}")
+    return whole(Fraction(value))
+
+
+def coefficient_text(value) -> str:
+    """``str(value)`` for a coefficient written out, or a BoundsError when it
+    has more digits than Python converts to text."""
+    try:
+        return str(value)
+    except ValueError:
+        raise BoundsError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits in its "
+            "numerator or denominator, the limit of sys.get_int_max_str_digits()"
+        ) from None
 
 
 def whole(value):
@@ -132,7 +158,7 @@ class Combination:
         return self._like({k: -v for k, v in self._coeffs.items()})
 
     def __mul__(self, scalar):
-        scalar = whole(Fraction(scalar))
+        scalar = exact(scalar)
         coeffs = {k: whole(v * scalar) for k, v in self._coeffs.items()} if scalar else {}
         return self._like(coeffs)
 

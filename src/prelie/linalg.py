@@ -9,14 +9,16 @@ spaces pick up no Koszul signs on their own.
 Also home to contractions: a :class:`Contraction` is a homotopy retract
 (i, p, h) of a complex onto a smaller one, and :func:`contraction_of`
 builds one onto the homology by exact elimination in each degree.  Both
-trivializers twist a structure by the gauges of such a contraction.
+trivializers twist a structure by the gauges of such a contraction.  The
+echelon step :func:`_reduce` is the module's one elimination routine:
+:func:`solve_sparse` solves a linear system with it too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .combination import Combination, add_into, put, whole
+from .combination import Combination, add_into, exact, put, whole
 from .errors import BoundsError, ShapeError, ValidationError, shown
 
 # bound on the total dimension of a space whose basis is listed: trivializing
@@ -88,7 +90,7 @@ class GradedMap(Combination):
 
     def __setitem__(self, key, coeff):
         sdeg, sidx, tidx = key
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         if not 0 <= sidx < self.source.dim(sdeg):
             raise ShapeError(f"no basis vector ({sdeg}, {sidx}) in the source")
         if not 0 <= tidx < self.target.dim(sdeg + self.degree):
@@ -262,66 +264,34 @@ def solve_sparse(rows, rhs, nvars):
     coefficients; an explicit zero counts as absent) and ``rhs[i]`` the
     right-hand side.  Returns ``(True, solution)`` with free variables set
     to 0, or ``(False, partial)`` where ``partial`` solves the consistent
-    subsystem.
+    subsystem; every value is a ``Fraction``.
 
-    Pivot rule: variables in increasing index order, each pivoting on the
-    first (lowest-index) unused row with a non-zero coefficient in it.  A
-    column index ``var -> unused rows holding var`` finds that row as the
-    index's minimum and confines each elimination to the rows that hold the
-    pivot variable, so a system costs time in proportion to the entries it
-    touches (input non-zeros plus fill-in), not rows x unknowns; the index
-    holds one set entry per stored non-zero.
+    Each equation, its right-hand side under the key ``nvars`` (after every
+    variable), is reduced by :func:`_reduce` along the equations kept before
+    it.  One with a variable left is kept, pivoting on its lowest variable;
+    one with only its right-hand side left makes the system inconsistent.
+    The kept equations are back-substituted in reverse order.
+
+    The result is that of the pivot rule "variables in increasing order,
+    each on the lowest-index unused row holding it": the kept equations are
+    the first rows independent of the rows before them, and so are that
+    rule's pivot rows, since a row it never pivots on was only reduced by
+    pivot rows of lower index.  Both are echelon bases of one row space, so
+    they have the same pivot variables and the same solution with the free
+    variables at 0, or partial solution when the system is inconsistent.
     """
-    work = []
-    vals = [Fraction(v) for v in rhs]
-    holders = {}  # var -> indices of unused rows with a non-zero in var
-    for i, r in enumerate(rows):
-        row = {k: c for k, c in r.items() if c}
-        work.append(row)
-        for k in row:
-            holders.setdefault(k, set()).add(i)
-    pivots = []  # (var, normalized row, rhs)
-    used = [False] * len(work)
-    for var in range(nvars):
-        column = holders.pop(var, None)
-        if not column:
-            continue
-        pick = min(column)
-        column.discard(pick)
-        used[pick] = True
-        row = work[pick]
-        for k in row:
-            if k != var:
-                holders[k].discard(pick)
-        inv = Fraction(1) / row[var]  # a Fraction even for int coefficients
-        row = {k: c * inv for k, c in row.items()}
-        val = vals[pick] * inv
-        pivots.append((var, row, val))
-        for i in column:
-            other = work[i]
-            factor = other.pop(var)
-            neg = -factor
-            for k, c in row.items():
-                if k == var:
-                    continue
-                old = other.get(k)
-                if old is None:
-                    other[k] = neg * c
-                    holders.setdefault(k, set()).add(i)
-                else:
-                    new = old + neg * c
-                    if new:
-                        other[k] = new
-                    else:
-                        del other[k]
-                        holders[k].discard(i)
-            vals[i] = vals[i] - factor * val
-    consistent = all(used[i] or not val for i, val in enumerate(vals))
-    solution = [Fraction(0)] * nvars
-    for var, row, val in reversed(pivots):
-        acc = val
-        for k, c in row.items():
-            if k != var:
-                acc -= c * solution[k]
-        solution[var] = acc
-    return consistent, solution
+    kept = []  # (pivot, equation, no tag): echelon rows as _reduce takes them
+    consistent = True
+    for row, b in zip(rows, rhs):
+        v = {k: c for k, c in row.items() if c}
+        put(v, nvars, b)
+        _reduce(v, kept, {})
+        pivot = min(v, default=nvars)
+        if pivot < nvars:
+            kept.append((pivot, v, {}))
+        elif v:
+            consistent = False
+    x = [Fraction(0)] * nvars + [Fraction(-1)]  # so v . x is v's left side minus its right side
+    for pivot, v, _tag in reversed(kept):
+        x[pivot] = Fraction(-sum(c * x[k] for k, c in v.items() if k != pivot), v[pivot])
+    return consistent, x[:nvars]

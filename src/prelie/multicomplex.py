@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import calculus
-from .combination import Combination, add_into, parse_number
+from .combination import Combination, add_into, coefficient_text, parse_number
 from .errors import DomainError, InternalCheckError, ShapeError, ValidationError, shown
 from .linalg import GradedMap, GradedSpace, contraction_of
 
@@ -255,7 +255,7 @@ def space_from_dict(data: dict) -> GradedSpace:
 
 def map_entries_to_list(gmap: GradedMap) -> list:
     return [
-        [sdeg, sidx, tidx, str(coeff)]
+        [sdeg, sidx, tidx, coefficient_text(coeff)]
         for (sdeg, sidx, tidx), coeff in sorted(gmap.entries.items())
     ]
 

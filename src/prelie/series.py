@@ -21,7 +21,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from . import calculus
-from .combination import Combination, add_into, parse_number, whole
+from .combination import Combination, add_into, coefficient_text, exact, parse_number, whole
 from .errors import DomainError, ParseError, TruncationMismatch, shown
 from .trees import UNIT, LabeledTree, _canonical_tree, _parse_tree
 
@@ -47,11 +47,11 @@ class TreeSeries(Combination):
         if terms:
             for tree, coeff in terms.items():
                 if type(coeff) is not int:
-                    coeff = whole(Fraction(coeff))
+                    coeff = exact(coeff)
                 if coeff and tree.nvertices <= order:
                     clean[tree] = coeff
         if unit:
-            add_into(clean, UNIT, Fraction(unit))
+            add_into(clean, UNIT, exact(unit))
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -66,6 +66,13 @@ class TreeSeries(Combination):
 
     @staticmethod
     def generator(symbol: str, order: int) -> "TreeSeries":
+        """The one-vertex tree labeled ``symbol``, a symbol that the text format
+        reads back: not empty, with no whitespace, ``(``, ``)`` or ``#``."""
+        if not symbol or any(ch.isspace() or ch in "()#" for ch in symbol):
+            raise DomainError(
+                "a generator symbol must be non-empty, with no whitespace, '(', ')' or '#', "
+                f"got {shown(symbol)}"
+            )
         return TreeSeries(order, terms={LabeledTree(symbol): 1})
 
     @staticmethod
@@ -439,4 +446,6 @@ def parse_series(text: str, order: int) -> TreeSeries:
 
 def format_series(s: TreeSeries) -> str:
     """Inverse of :func:`parse_series`; terms sorted canonically, the unit first."""
-    return "\n".join(f"{s.terms[t]} {t.to_text()}" for t in sorted(s.terms, key=lambda t: t.key))
+    return "\n".join(
+        f"{coefficient_text(s.terms[t])} {t.to_text()}" for t in sorted(s.terms, key=lambda t: t.key)
+    )

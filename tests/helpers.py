@@ -715,8 +715,9 @@ def graft_by_pairs(s: TreeSeries, t: TreeSeries) -> TreeSeries:
 
 def solve_sparse_by_scan(rows, rhs, nvars):
     """Gaussian elimination that scans every unused row for each pivot:
-    the same pivot rule as ``linalg.solve_sparse`` (increasing variable,
-    first usable row), without its column index."""
+    variables in increasing order, each on the first unused row holding it.
+    ``linalg.solve_sparse`` keeps the rows independent of the rows before
+    them instead, and its docstring says why the results are the same."""
     work = [(dict(r), Fraction(v)) for r, v in zip(rows, rhs)]
     pivots = []
     used = [False] * len(work)

@@ -855,6 +855,51 @@ def test_huge_value_is_cut_in_the_message(tmp_path, capsys, case):
     assert "characters)" in err and len(err) < 250
 
 
+@pytest.mark.parametrize("symbol", ["", "a b", "a#b", "(a)"],
+                         ids=["empty", "space", "hash", "parenthesis"])
+def test_bch_generator_the_text_format_cannot_read_exit_2(capsys, symbol):
+    # "" printed "1 ()", which reads back as the unit, and "a b" and "a#b"
+    # printed lines that parse_series refuses or cuts off at the '#'
+    code, out, err = run(capsys, "prelie", "bch", symbol, "y", "--order", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: a generator symbol must be non-empty, with no whitespace, "
+                   f"'(', ')' or '#', got {symbol!r}\n")
+
+
+@pytest.mark.parametrize("raw", ["1e5000", "1e-5000"])
+def test_exponent_notation_coefficient_exit_2(tmp_path, capsys, raw):
+    # Fraction reads "1e5000" as a 5001-digit integer, which the writers could
+    # not print: a traceback and exit 1; "1e300000000" ran for minutes
+    tower = mcx.tower_to_dict(acyclic_tower())
+    tower["operators"][0]["entries"][0][3] = raw
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(tower))
+    code, out, err = run(capsys, "multicomplex", "mc-check", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad operator entry [")
+    assert err.endswith(f"a coefficient must be an integer or a rational string, got '{raw}'\n")
+    f = tmp_path / "in.txt"
+    f.write_text(f"1 (a)\n{raw} (b)\n")
+    code, out, err = run(capsys, "prelie", "exp", str(f), "--order", "2")
+    assert (code, out, err) == (2, "", f"error: line 2: bad rational coefficient '{raw}'\n")
+
+
+def test_result_coefficient_above_the_text_limit_exit_2(tmp_path, capsys):
+    # str() of a 6001-digit coefficient raised ValueError: a traceback and exit 1
+    big = "1" + "0" * 3000
+    message = (f"error: a coefficient has more than {sys.get_int_max_str_digits()} digits in "
+               "its numerator or denominator, the limit of sys.get_int_max_str_digits()\n")
+    f = tmp_path / "in.txt"
+    f.write_text(f"{big} (x)\n")
+    assert run(capsys, "prelie", "exp", str(f), "--order", "2") == (2, "", message)
+    # d = 0 and alpha_1 = big along degrees 0 -> 1 -> 2: the weight-2 residual is big**2
+    tower = {"space": {"dims": {"0": 1, "1": 1, "2": 1}}, "truncation": 3,
+             "operators": [{"weight": 1, "entries": [[0, 0, 0, big], [1, 0, 0, big]]}]}
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(tower))
+    assert run(capsys, "multicomplex", "mc-check", str(f)) == (2, "", message)
+
+
 @pytest.mark.parametrize("argv, option", [
     (["prelie", "bch", "x", "y", "--order", "0_2"], "--order"),
     (["trees", "enumerate", "--vertices", "0_3"], "--vertices"),

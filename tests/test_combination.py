@@ -17,7 +17,7 @@ from helpers import compose_at
 from prelie import multicomplex as mcx
 from prelie.ainf import ConvElement, MultiOp, TensorOperator, star
 from prelie.combination import Combination, add_into
-from prelie.errors import ShapeError, TruncationMismatch
+from prelie.errors import ShapeError, TruncationMismatch, ValidationError
 from prelie.linalg import GradedMap, GradedSpace
 from prelie.series import LabeledTree, TreeSeries, graft
 
@@ -204,6 +204,23 @@ def test_mixed_types_raise_type_error():
         gmap + MultiOp.from_graded_map(gmap)
     with pytest.raises(TypeError):
         TreeSeries.one(3) - gmap
+
+
+@pytest.mark.parametrize("entry", ["graded-map", "multi-op", "tree-series-terms",
+                                   "tree-series-unit", "scalar-product"])
+def test_coefficient_entry_points_refuse_floats(entry):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, the float's binary expansion
+    x = LabeledTree.from_text("(x)")
+    set_coefficient = {
+        "graded-map": lambda c: GradedMap(SPACE, SPACE, 0).__setitem__((0, 0, 0), c),
+        "multi-op": lambda c: MultiOp(SPACE, SPACE, 1, 0).__setitem__((((0, 0),), (0, 0)), c),
+        "tree-series-terms": lambda c: TreeSeries(3, terms={x: c}),
+        "tree-series-unit": lambda c: TreeSeries(3, unit=c),
+        "scalar-product": lambda c: TreeSeries.generator("x", 3) * c,
+    }[entry]
+    with pytest.raises(ValidationError, match="must be exact, not the float 0.1"):
+        set_coefficient(0.1)
+    set_coefficient(Fraction(1, 10))  # an exact tenth is taken
 
 
 def test_add_into_updates_owned_values_in_place():

@@ -1,7 +1,8 @@
 """The stage-wise trivializer oracle and the trivializers' own checks.
 
-``linalg.solve_sparse`` must agree exactly with the row-scanning
-elimination in ``helpers.solve_sparse_by_scan`` (same pivot rule), the
+``linalg.solve_sparse``, which keeps each row independent of the rows
+before it, must agree exactly with the row-scanning elimination in
+``helpers.solve_sparse_by_scan``, which pivots by variable, the
 oracle's stage routine ``helpers.solve_stage`` with the assembly it
 replaced, and the stage matrices of ``helpers.stage_rows`` with the
 per-unknown operator ``helpers.stage_operator``; at arity 1, the
@@ -53,16 +54,26 @@ def systems(draw):
 
     Small coefficient ranges and dense-ish rows make fill-in and
     cancellation common; ``COEFFS`` includes 0, so rows carry explicit
-    zeros, and a row may be empty."""
+    zeros, and a row may be empty.  Up to three more rows are linear
+    combinations of the rows drawn, inserted anywhere, so rank-deficient
+    systems, consistent or not, are common, and a row may depend on rows
+    after it."""
     nvars = draw(st.integers(0, 7))
     nrows = draw(st.integers(0, 9))
     keys = st.sampled_from(range(nvars or 1))
     rows = [draw(st.dictionaries(keys, COEFFS, max_size=4 if nvars else 0)) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        combination = {}
+        for i, c in draw(st.lists(st.tuples(st.sampled_from(range(len(rows))), COEFFS),
+                                  min_size=1, max_size=3)):
+            for k, v in rows[i].items():
+                combination[k] = combination.get(k, 0) + c * v
+        rows.insert(draw(st.integers(0, len(rows))), combination)
     if draw(st.booleans()):
         x0 = [draw(COEFFS) for _ in range(nvars)]
         rhs = [sum((c * x0[k] for k, c in row.items()), Fraction(0)) for row in rows]
     else:
-        rhs = [draw(COEFFS) for _ in range(nrows)]
+        rhs = [draw(COEFFS) for _ in range(len(rows))]
     return rows, rhs, nvars
 
 
