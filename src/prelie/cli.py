@@ -4,6 +4,12 @@ Operator towers (``multicomplex``) and A-infinity structures (``ainf``)
 share one handler for each of ``mc-check``, the gauge action and
 ``trivialize``, which reads what differs from the table ``THEORIES``.
 
+Every verb, with its help line, arguments and handler, is written once, in
+the verb table ``_VERBS``.  A call that names a module and one of its verbs
+builds the parser of that verb alone; the full parser, built from the same
+table, is built only to print help and the errors about modules, verbs and
+arguments left over.  No parser outlives a call.
+
 Exit codes:
 
 - 0  success, or a true verdict;
@@ -25,7 +31,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import ainf, multicomplex, series, trees
 from .combination import parse_number
@@ -37,8 +43,7 @@ MAX_ORDER = 8
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if getattr(args, "order", 0) > MAX_ORDER:
             raise DomainError(f"truncation order must be <= {MAX_ORDER}, got {shown(args.order)}")
@@ -62,73 +67,6 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="preliecalc",
-        description="exact pre-Lie series, multicomplex, and homotopy-transfer calculator",
-    )
-    sub = parser.add_subparsers(dest="module", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--output", default=None, help="write results here instead of stdout")
-
-    t = sub.add_parser("trees", help="rooted-tree combinatorics")
-    tsub = t.add_subparsers(dest="verb", required=True)
-    p = tsub.add_parser("enumerate", help="all rooted trees with a given vertex count")
-    p.add_argument("--vertices", type=_integer, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_trees_enumerate)
-    p = tsub.add_parser("levelizations", help="levelizations and weights per tree")
-    p.add_argument("--vertices", type=_integer, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_trees_levelizations)
-
-    s = sub.add_parser("prelie", help="free pre-Lie series calculus")
-    ssub = s.add_subparsers(dest="verb", required=True)
-    for verb, handler in [("exp", _cmd_series_exp), ("magnus", _cmd_series_magnus)]:
-        p = ssub.add_parser(verb)
-        p.add_argument("input", nargs="?", default="-", help="series file, '-' for stdin")
-        p.add_argument("--order", type=_integer, default=DEFAULT_ORDER)
-        common(p)
-        p.set_defaults(handler=handler)
-    p = ssub.add_parser("bch", help="BCH product of two generators")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--order", type=_integer, default=DEFAULT_ORDER)
-    common(p)
-    p.set_defaults(handler=_cmd_series_bch)
-    p = ssub.add_parser("gauge-act", help="(e^L * A) o e^-L for series files L, A")
-    p.add_argument("gauge", help="series file for the gauge parameter")
-    p.add_argument("target", help="series file for the element acted on")
-    p.add_argument("--order", type=_integer, default=DEFAULT_ORDER)
-    common(p)
-    p.set_defaults(handler=_cmd_series_gauge)
-
-    verbs = {}
-    for theory in THEORIES:
-        m = sub.add_parser(theory.module, help=theory.help)
-        verbs[theory.module] = msub = m.add_subparsers(dest="verb", required=True)
-        for verb, handler in [
-            ("mc-check", _cmd_mc_check),
-            (theory.gauge_verb, _cmd_gauge),
-            ("trivialize", _cmd_trivialize),
-        ]:
-            p = msub.add_parser(verb)
-            p.add_argument("input", nargs="?", default="-")
-            p.add_argument("--truncation", type=_integer, default=None)
-            common(p)
-            p.set_defaults(handler=handler, theory=theory)
-    p = verbs["ainf"].add_parser("transfer", help="homotopy transfer along a contraction")
-    p.add_argument("structure", help="structure JSON file")
-    p.add_argument("contraction", help="contraction JSON file")
-    p.add_argument("--truncation", type=_integer, default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_ainf_transfer)
-
-    return parser
 
 
 # -- shared I/O helpers --------------------------------------------------------
@@ -381,6 +319,96 @@ def _cmd_ainf_transfer(args) -> int:
     lines.append(json.dumps(payload["beta"]))
     _emit_payload(args, payload, lines)
     return 0
+
+
+# -- the verb table and the parsers built from it ------------------------------
+
+
+class _Verb(NamedTuple):
+    """One verb of a module: its line in the module's help (none if None),
+    its ``add_argument`` calls as (name, keywords) pairs, and the handler
+    and theory that ``set_defaults`` puts in the namespace."""
+
+    help: str | None
+    arguments: tuple
+    handler: Callable
+    theory: _Theory | None = None
+
+
+_ORDER = ("--order", {"type": _integer, "default": DEFAULT_ORDER})
+_TRUNCATION = ("--truncation", {"type": _integer, "default": None})
+_VERTICES = ("--vertices", {"type": _integer, "required": True})
+_SERIES_FILE = ("input", {"nargs": "?", "default": "-", "help": "series file, '-' for stdin"})
+_RECORD = ("input", {"nargs": "?", "default": "-"})
+
+# module -> (its help line, {verb: _Verb}), in the order the help lists them
+_VERBS = {
+    "trees": ("rooted-tree combinatorics", {
+        "enumerate": _Verb("all rooted trees with a given vertex count", (_VERTICES,),
+                           _cmd_trees_enumerate),
+        "levelizations": _Verb("levelizations and weights per tree", (_VERTICES,),
+                               _cmd_trees_levelizations),
+    }),
+    "prelie": ("free pre-Lie series calculus", {
+        "exp": _Verb(None, (_SERIES_FILE, _ORDER), _cmd_series_exp),
+        "magnus": _Verb(None, (_SERIES_FILE, _ORDER), _cmd_series_magnus),
+        "bch": _Verb("BCH product of two generators", (("x", {}), ("y", {}), _ORDER),
+                     _cmd_series_bch),
+        "gauge-act": _Verb("(e^L * A) o e^-L for series files L, A",
+                           (("gauge", {"help": "series file for the gauge parameter"}),
+                            ("target", {"help": "series file for the element acted on"}),
+                            _ORDER),
+                           _cmd_series_gauge),
+    }),
+    **{theory.module: (theory.help, {
+        verb: _Verb(None, (_RECORD, _TRUNCATION), handler, theory)
+        for verb, handler in [("mc-check", _cmd_mc_check), (theory.gauge_verb, _cmd_gauge),
+                              ("trivialize", _cmd_trivialize)]
+    }) for theory in THEORIES},
+}
+_VERBS["ainf"][1]["transfer"] = _Verb(
+    "homotopy transfer along a contraction",
+    (("structure", {"help": "structure JSON file"}),
+     ("contraction", {"help": "contraction JSON file"}), _TRUNCATION),
+    _cmd_ainf_transfer)
+
+
+def _add_verb(parser: argparse.ArgumentParser, verb: _Verb) -> None:
+    for name, keywords in verb.arguments:
+        parser.add_argument(name, **keywords)
+    parser.add_argument("--format", choices=["text", "json"], default="text")
+    parser.add_argument("--output", default=None, help="write results here instead of stdout")
+    parser.set_defaults(handler=verb.handler, theory=verb.theory)
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The namespace of a call.  The full parser hands a verb's parser all
+    that follows the verb, so that parser alone reads it the same way; the
+    full parser is built for a call that names no verb or leaves arguments
+    over, which it reports under its own usage line."""
+    verbs = _VERBS[argv[0]][1] if argv and argv[0] in _VERBS else {}
+    verb = verbs.get(argv[1]) if len(argv) > 1 else None
+    if verb is not None:
+        parser = argparse.ArgumentParser(prog=f"preliecalc {argv[0]} {argv[1]}")
+        _add_verb(parser, verb)
+        args, extras = parser.parse_known_args(argv[2:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="preliecalc",
+        description="exact pre-Lie series, multicomplex, and homotopy-transfer calculator",
+    )
+    modules = parser.add_subparsers(dest="module", required=True)
+    for module, (summary, verbs) in _VERBS.items():
+        sub = modules.add_parser(module, help=summary).add_subparsers(dest="verb", required=True)
+        for name, verb in verbs.items():
+            listed = {} if verb.help is None else {"help": verb.help}  # help=None would list it
+            _add_verb(sub.add_parser(name, **listed), verb)
+    return parser
 
 
 if __name__ == "__main__":

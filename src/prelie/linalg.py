@@ -34,7 +34,9 @@ class GradedSpace:
     def __init__(self, dims):
         clean = {}
         for deg, dim in dims.items():
-            deg, dim = int(deg), int(dim)
+            for value in (deg, dim):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValidationError(f"a degree or dimension must be an int, got {shown(value)}")
             if dim < 0:
                 raise ValidationError(f"negative dimension {dim} in degree {deg}")
             if dim:

@@ -18,6 +18,7 @@ from prelie.ainf import (
     element_to_dict,
     gauge_act,
 )
+from prelie.errors import shown
 from prelie.linalg import MAX_DIMENSION, GradedSpace
 from helpers import (
     acyclic_dga,
@@ -1056,6 +1057,28 @@ def test_total_dimension_above_bound_exit_2(tmp_path, capsys, verb, record):
     code, out, err = run(capsys, *verb, str(infile))
     assert (code, out, err) == (2, "", f"error: total dimension must be <= {MAX_DIMENSION}, "
                                        f"got {MAX_DIMENSION + 1}\n")
+
+
+def test_total_dimension_past_the_digit_limit_exit_2(tmp_path, capsys):
+    # the total has more digits than repr writes out: the message counts them
+    digits = sys.get_int_max_str_digits()
+    nines = "9" * digits
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps({"space": {"dims": {"0": nines, "1": nines}},
+                                  "truncation": 2, "operators": []}))
+    code, out, err = run(capsys, "multicomplex", "trivialize", str(infile))
+    assert (code, out, err) == (2, "", f"error: total dimension must be <= {MAX_DIMENSION}, "
+                                       f"got an integer of {digits + 1} digits\n")
+
+
+@pytest.mark.parametrize("value, text", [
+    (10**5000, "an integer of 5001 digits"),
+    (1 - 10**4400, "an integer of 4400 digits"),
+    (Fraction(10**5000, 7), "a fraction of 5001/1 digits"),
+    (Fraction(1, 3 * 10**4999), "a fraction of 1/5000 digits"),
+], ids=["int", "negative-int", "fraction-numerator", "fraction-denominator"])
+def test_shown_counts_the_digits_of_a_number_repr_refuses(value, text):
+    assert shown(value) == text
 
 
 def test_total_dimension_at_bound_lists_basis():

@@ -223,6 +223,12 @@ def test_coefficient_entry_points_refuse_floats(entry):
     set_coefficient(Fraction(1, 10))  # an exact tenth is taken
 
 
+@pytest.mark.parametrize("dims", [{0: 2.9}, {0: 2.0}, {1.0: 1}, {"0": 1}, {0: True}])
+def test_graded_space_refuses_a_degree_or_dimension_not_an_int(dims):
+    with pytest.raises(ValidationError, match="a degree or dimension must be an int, got "):
+        GradedSpace(dims)
+
+
 def test_add_into_updates_owned_values_in_place():
     acc = {}
     add_into(acc, "x", Fraction(1, 2))
