@@ -186,12 +186,13 @@ def gauge_act(lam, alpha):
 
 def psi_series(abar, pullback):
     """The input-restricting kernel  Psi = 1 + R(1) + R^2(1) + ...  with
-    R(x) = -h^*(x * abar), ``pullback`` being h^*; each application of R
-    raises the weight, so the sum is finite."""
+    R(x) = -h^*(x * abar) = h^*(x * (-abar)), ``pullback`` being the linear
+    h^*, so the sign is taken once; each application of R raises the weight,
+    so the sum is finite."""
     psi = abar.unit_like()
-    term = psi
+    term, minus_abar = psi, -abar
     for _ in range(psi.max_weight):
-        term = -pullback(term.star(abar))
+        term = pullback(term.star(minus_abar))
         if term.is_zero():
             break
         psi = psi + term

@@ -196,7 +196,8 @@ def trivialize(alpha: OperatorTower) -> calculus.Trivialization:
         raise DomainError(f"trivialize needs a Maurer-Cartan tower; fails at weight {report.stage}")
     c = contraction_of(alpha.space, alpha.component(0))
     h = OperatorTower(alpha.space, alpha.truncation, 1, {0: c.h})
-    result = calculus.trivialize(alpha, h, lambda y: -y.star(h))
+    minus_h = -h
+    result = calculus.trivialize(alpha, h, lambda y: y.star(minus_h))
     if result.found and not isotopy_check(result.f, alpha.weight_component(0), alpha):
         raise InternalCheckError("trivialize: the isotopy found fails f * delta == alpha * f")
     return result

@@ -6,7 +6,9 @@ fixed vertex count.  Its unit part is the coefficient of the vertex-free tree
 :data:`prelie.trees.UNIT`, one more key of the same combination.  The
 grafting product, symmetric braces, circle product, exponential, Magnus
 logarithm, group-like inversion, Lie bracket, BCH product and the gauge
-action are provided as module-level functions.
+action are provided as module-level functions.  For g = 1 + b the circle
+product is x(t_1, .., t_k) (o) g = x(t_1 (o) g, .., t_k (o) g) . e^b, with
+e^b the sum over m of b attached to the root m times over, divided by m!.
 
 The unit is one-sided:  1 * x = x,  while grafting the unit on the right
 contributes nothing (x * 1 = 0 on the pure-unit part).  This convention is
@@ -21,7 +23,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from . import calculus
-from .combination import Combination, add_into, coefficient_text, exact, parse_number, whole
+from .combination import Combination, add_into, coefficient_text, exact, parse_number
 from .errors import DomainError, ParseError, TruncationMismatch, shown
 from .trees import UNIT, LabeledTree, _canonical_tree, _parse_tree
 
@@ -116,27 +118,30 @@ class TreeSeries(Combination):
 # -- grafting ----------------------------------------------------------------
 
 
+def _add_child(s: LabeledTree, t: LabeledTree) -> LabeledTree:
+    """s with t as one more child of its root, inserted by ``bisect_right``
+    among the children's keys, so the children stay in canonical order."""
+    kids, keys, n = s.children, s.key[2], s.nvertices + t.nvertices
+    j = bisect_right(keys, t.key)
+    return _canonical_tree(s.label, kids[:j] + (t,) + kids[j:], keys[:j] + (t.key,) + keys[j:], n)
+
+
 def _graft_trees(s: LabeledTree, t: LabeledTree, memo: dict):
     """All ways to attach t's root as a new child of a vertex of s.
 
     ``memo`` maps (subtree, t) to its list, so a subtree shared by several
     trees, or repeated among one tree's children, is grafted into once.
-    Each output tree is built in canonical order: the new or grown child is
-    inserted by ``bisect_right`` among its siblings' keys.  A grown child
-    only moves right, since its vertex count, the first entry of its key,
-    went up.
+    Each output tree is built in canonical order: the new child by
+    :func:`_add_child`, a grown one by ``bisect_right`` among its siblings'
+    keys, where it only moves right, since its vertex count, the first entry
+    of its key, went up.
     """
     key = (s, t)
     out = memo.get(key)
     if out is None:
         label, kids, keys = s.label, s.children, s.key[2]
         n = s.nvertices + t.nvertices
-        j = bisect_right(keys, t.key)
-        out = [
-            _canonical_tree(
-                label, kids[:j] + (t,) + kids[j:], keys[:j] + (t.key,) + keys[j:], n
-            )
-        ]
+        out = [_add_child(s, t)]
         for i, child in enumerate(kids):
             for grafted in _graft_trees(child, t, memo):
                 j = bisect_right(keys, grafted.key, i + 1)
@@ -199,75 +204,58 @@ def _require_grouplike(g: TreeSeries):
         raise DomainError("right factor of the circle product must have unit part 1")
 
 
-def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
-    """Circle product  a (o) g = sum_n {a; b, .., b} / n!  for g = 1 + b.
+def _attach(trees, children, room: int):
+    """Each of ``trees`` with one of ``children`` added to its root, summed and
+    cut to ``room`` vertices; all three hold (tree, coeff) pairs.  ``children``
+    is listed by vertex count: a tree stops at the first that does not fit."""
+    out: dict = {}
+    for s, cs in trees:
+        left = room - s.nvertices
+        for t, ct in children:
+            if t.nvertices > left:
+                break
+            add_into(out, _add_child(s, t), cs * ct)
+    return out.items()
 
-    Computed by attaching, at every vertex of every tree of ``a``
-    independently, a multiset of trees of b weighted by prod c^m / m!;
-    grouping the brace expansion by which vertex receives which arguments
-    shows the two formulas agree (the tests cross-check it against the
-    expansion itself).
+
+def circle(a: TreeSeries, g: TreeSeries) -> TreeSeries:
+    """Circle product  a (o) g = sum_n {a; b, .., b} / n!  for g = 1 + b, by
+    the recursion  x(t_1, .., t_k) (o) g = x(t_1 (o) g, .., t_k (o) g) . e^b:
+    e^b attaches b to the root m times over and divides by m!, which gives
+    each multiset of trees of b its weight prod c^m / m!.  ``decorate(tree,
+    room)`` is  tree (o) g  cut to trees of at most ``room`` vertices, listed
+    by vertex count and formed once per call; the tests cross-check the
+    result against the brace expansion.
     """
     a._check(g)
     _require_grouplike(g)
-    order = a.order
-    # g = 1 + b, and the unit's key sorts first
-    b_terms = sorted(g.terms.items(), key=lambda tc: tc[0].key)[1:]
+    b = sorted(g.terms.items(), key=lambda tc: tc[0].key)[1:]  # g = 1 + b; the unit sorts first
+    memo: dict = {}
 
-    max_budget = order - (a.min_tree_weight() or order)
-    # multisets of b-terms with total weight <= max_budget, folded iteratively
-    # (recursing per term would overflow on dense series)
-    all_msets = [((), 1, 0)]
-    for tree, coeff in b_terms:
-        w = tree.nvertices
-        if w > max_budget:
-            continue
-        extended = []
-        for ms, c, used in all_msets:
-            copies, factor = 1, coeff
-            while used + copies * w <= max_budget:
-                extended.append((ms + (tree,) * copies, c * factor, used + copies * w))
-                copies += 1
-                factor = whole(Fraction(factor * coeff, copies))
-        all_msets.extend(extended)
-    msets_by_weight: list = [[] for _ in range(max_budget + 1)]
-    for ms, c, used in all_msets:
-        msets_by_weight[used].append((ms, c))
-
-    dec_cache: dict = {}
-
-    def decorate(tree, budget):
-        # all (tree with multisets attached below its vertices, coeff, extra weight)
-        key = (tree, budget)
-        hit = dec_cache.get(key)
-        if hit is not None:
-            return hit
-
-        def children_choices(idx, budget_left):
-            if idx == len(tree.children):
-                return [((), 1, 0)]
-            out = []
-            for ct, cc, cu in decorate(tree.children[idx], budget_left):
-                for rest, rc, ru in children_choices(idx + 1, budget_left - cu):
-                    out.append(((ct,) + rest, cc * rc, cu + ru))
-            return out
-
-        out = []
-        for kids, kc, ku in children_choices(0, budget):
-            for weight in range(0, budget - ku + 1):
-                for attach, mc in msets_by_weight[weight]:
-                    out.append(
-                        (LabeledTree(tree.label, kids + attach), kc * mc, ku + weight)
-                    )
-        dec_cache[key] = out
+    def decorate(tree, room):
+        out = memo.get((tree, room))
+        if out is None:
+            grown = [(_canonical_tree(tree.label, (), (), 1), 1)]
+            rest = tree.nvertices - 1  # the vertices of the children still to come
+            for child in tree.children:
+                rest -= child.nvertices
+                kids = decorate(child, room - tree.nvertices + child.nvertices)
+                grown = _attach(grown, kids, room - rest)
+            total = dict(grown)
+            for m in range(1, room + 1):  # b attached m times over, then / m!
+                grown = _attach(grown, b, room)
+                if not grown:
+                    break
+                for tree_m, c in grown:
+                    add_into(total, tree_m, c if m == 1 else Fraction(c, math.factorial(m)))
+            out = memo[tree, room] = sorted(total.items(), key=lambda tc: tc[0].nvertices)
         return out
 
     result = g * a.unit  # left linearity: the unit part of a contributes a.unit * g
     for sigma, cs in a.terms.items():
-        if sigma is UNIT:
-            continue
-        for tree, coeff, _used in decorate(sigma, order - sigma.nvertices):
-            add_into(result.terms, tree, cs * coeff)
+        if sigma is not UNIT:
+            for tree, coeff in decorate(sigma, a.order):
+                add_into(result.terms, tree, cs * coeff)
     return result
 
 

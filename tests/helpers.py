@@ -320,11 +320,11 @@ def labeled_trees(draw, nvertices):
 
 
 @st.composite
-def tree_series(draw, order, unit=0):
-    """Hypothesis strategy: one to three trees of at most 3 vertices."""
+def tree_series(draw, order, unit=0, max_vertices=3):
+    """Hypothesis strategy: one to three trees of at most ``max_vertices`` vertices."""
     terms: dict = {}
     for _ in range(draw(st.integers(1, 3))):
-        tree = draw(labeled_trees(draw(st.integers(1, min(order, 3)))))
+        tree = draw(labeled_trees(draw(st.integers(1, min(order, max_vertices)))))
         terms[tree] = terms.get(tree, 0) + draw(st.sampled_from(COEFF_CHOICES))
     return TreeSeries(order, unit, terms)
 

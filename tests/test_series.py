@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import circle_by_braces, circle_pointed, dynkin_bch, random_tree_series, tree_series
+from helpers import (
+    COEFF_CHOICES,
+    circle_by_braces,
+    circle_pointed,
+    dynkin_bch,
+    random_tree_series,
+    tree_series,
+)
 from prelie.errors import DomainError, ParseError, TruncationMismatch
 from prelie.series import (
     LabeledTree,
@@ -118,12 +125,23 @@ def test_circle_examples():
         assert got.weight_component(n) == expected.weight_component(n)
 
 
-def test_circle_matches_brace_expansion():
-    rng = random.Random(5)
-    for _ in range(6):
-        a = random_tree_series("ab", 5, rng)
-        g = one(5) + random_tree_series("ab", 5, rng, unit=0, nterms=3)
-        assert circle(a, g) == circle_by_braces(a, g)
+@st.composite
+def circle_factors(draw):
+    """(a, g): a with trees of up to the order's vertex count, and g = 1 + b
+    with b holding trees of up to order - 1 vertices and a one-vertex tree,
+    so that one vertex can receive two or more copies of a tree of b."""
+    order = draw(st.integers(2, 5))
+    a = draw(tree_series(order, unit=draw(st.sampled_from([0, 1, -1])), max_vertices=order))
+    b = draw(tree_series(order, max_vertices=order - 1))
+    leaf = gen(draw(st.sampled_from("xy")), order) * draw(st.sampled_from(COEFF_CHOICES[:3]))
+    return a, one(order) + b + leaf
+
+
+@settings(max_examples=60, deadline=None)
+@given(circle_factors())
+def test_circle_matches_brace_expansion(factors):
+    a, g = factors
+    assert circle(a, g) == circle_by_braces(a, g)
 
 
 def test_circle_requires_grouplike():

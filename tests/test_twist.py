@@ -11,7 +11,8 @@ a NOT FOUND's stage and residual are the lowest component of that twist.  A
 found f is an infinity-morphism (an isotopy, for towers) from the
 differential, and the gauge action of its logarithm takes the differential
 to the structure.  Towers built as sums of pieces x -> y with a known
-obstruction get the known verdict and stage.
+obstruction, and A-infinity structures built from a minimal one plus
+acyclic pairs, get the known verdict and stage.
 """
 
 import random
@@ -31,13 +32,22 @@ from helpers import (
     massey_dga,
     obstructed_tower,
     random_contraction,
+    random_conv_element,
     random_gauge_element,
     random_gauge_tower,
     trivialize_by_stages,
     twist_residual,
 )
 from prelie import multicomplex as mcx
-from prelie.ainf import element_from_map, find_trivializer, gauge_act, inf_morphism_check
+from prelie.ainf import (
+    ConvElement,
+    MultiOp,
+    element_from_map,
+    find_trivializer,
+    gauge_act,
+    inf_morphism_check,
+    transfer,
+)
 from prelie.linalg import Contraction, GradedMap, GradedSpace, contraction_of
 
 LAWS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -227,3 +237,42 @@ def test_tower_trivializer_gives_the_known_answer(case):
     assert result.found == (stage is None)
     if stage is not None:
         assert result.stage == stage
+
+
+@st.composite
+def known_ainf_structures(draw):
+    """(alpha, d, stage): beta, the transferred structure of the Massey, line
+    or formal fixture, is minimal (d = 0 on its space H).  Acyclic pairs
+    x -> y in degrees (k, k - 1), d x = c y, extend it to H + K with its
+    transfer to the homology H still beta, and a random gauge moves it; the
+    gauge has entries in arities 2 and 3 only, since drawing one at arity 5
+    lists all 10^5 inputs of a 10-dimensional space (about 0.6 s a draw).
+    The lowest operation of a minimal structure above arity 1 is unchanged
+    by isotopies, so alpha is gauge trivial iff beta has none, and otherwise
+    ``stage`` is its arity (it is None for a trivial alpha)."""
+    truncation = draw(st.integers(3, 5))
+    beta = transfer(*draw(st.sampled_from([massey_dga, line_dga, formal_dga]))(truncation)).beta
+    dims, d_entries = dict(beta.source.dims), {}
+    for k in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3)):
+        x, y = dims.get(k, 0), dims.get(k - 1, 0)
+        dims[k], dims[k - 1] = x + 1, y + 1
+        d_entries[k, x, y] = draw(st.sampled_from(COEFF_CHOICES))
+    space = GradedSpace(dims)
+    d = GradedMap(space, space, -1, d_entries)
+    components = {n: MultiOp(space, space, n, -1, op.entries) for n, op in beta.components.items()}
+    components[1] = MultiOp.from_graded_map(d)
+    rng = random.Random(draw(SEEDS))
+    gauge = random_conv_element(space, truncation, 0, rng, arities=(2, 3), nentries=3)
+    alpha = gauge_act(gauge, ConvElement(space, space, truncation, -1, components))
+    return alpha, d, min((n for n in beta.components if n >= 2), default=None)
+
+
+@LAWS
+@given(known_ainf_structures())
+def test_ainf_trivializer_gives_the_known_answer(case):
+    alpha, d, stage = case
+    result = find_trivializer(alpha)
+    assert result.found == (stage is None)
+    if stage is not None:
+        assert result.stage == stage
+    assert transfer(alpha, contraction_of(alpha.source, d)).all_green()
